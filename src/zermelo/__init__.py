@@ -17,6 +17,7 @@ from .flow import (
     Residuals,
     StepControl,
     closed_form_trajectory,
+    endpoints,
     exponential_map,
     extended_rhs,
     first_integral_residuals,

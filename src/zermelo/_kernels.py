@@ -6,9 +6,9 @@ once storing every accepted step and once sampling at caller-given times.
 
 The kernels are compiled with numba when it is importable.  Setting the
 environment variable ``ZERMELO_DISABLE_NUMBA=1`` before import selects the
-pure-python/numpy fallback: the very same functions, undecorated.  Use
-``python -m zermelo.benchmark --compare`` to time the two paths against
-each other.
+pure-python/numpy fallback: the very same functions, undecorated.
+``BACKEND`` names the active path.  The benchmark in ``perfbench/`` measures
+the kernels and records the backend of each run.
 """
 
 import math

@@ -109,6 +109,17 @@ def _trajectory(problem, state, t_final, control):
     return integrate_numeric(problem, state, t_final, control)
 
 
+TRAJECTORY_HEADER = ["t", "c1", "c2", "alpha", "res_H", "res_eq10", "res_C0"]
+
+
+def _trajectory_rows(traj):
+    """Rows of a trajectory CSV: time, chart state and residuals per sample."""
+    res = traj.residuals
+    columns = (traj.t, *traj.states.T, res.hamiltonian, res.reduced_hamiltonian,
+               res.historical_invariant)
+    return list(zip(*columns))
+
+
 def _class_name(tag: ExtremalTag) -> str:
     return tag.value
 
@@ -158,20 +169,7 @@ def cmd_integrate(args) -> int:
     control = _step_control(args)
     traj = integrate_numeric(problem, ExtendedState(c1, c2, heading), args.t, control)
     out = _out_dir(args)
-    res = traj.residuals
-    rows = [
-        (
-            traj.t[i],
-            traj.states[i, 0],
-            traj.states[i, 1],
-            traj.states[i, 2],
-            res.hamiltonian[i],
-            res.reduced_hamiltonian[i],
-            res.historical_invariant[i],
-        )
-        for i in range(len(traj))
-    ]
-    write_csv(out / "trajectory.csv", ["t", "c1", "c2", "alpha", "res_H", "res_eq10", "res_C0"], rows)
+    write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, _trajectory_rows(traj))
 
     figure = svg.SvgFigure()
     tag = classify(problem, traj.state(0)).tag
@@ -214,24 +212,7 @@ def cmd_cusp(args) -> int:
         write_text(out / "cusp.json", text)
         span = 2.0 * cp.t_cusp if cp is not None else (args.t_max or 4.0)
         traj = _trajectory(problem, state, span, control)
-        res = traj.residuals
-        rows = [
-            (
-                traj.t[i],
-                traj.states[i, 0],
-                traj.states[i, 1],
-                traj.states[i, 2],
-                res.hamiltonian[i],
-                res.reduced_hamiltonian[i],
-                res.historical_invariant[i],
-            )
-            for i in range(len(traj))
-        ]
-        write_csv(
-            out / "cusp_trajectory.csv",
-            ["t", "c1", "c2", "alpha", "res_H", "res_eq10", "res_C0"],
-            rows,
-        )
+        write_csv(out / "cusp_trajectory.csv", TRAJECTORY_HEADER, _trajectory_rows(traj))
         figure = svg.SvgFigure()
         figure.polyline(traj.positions, "abnormal")
         figure.points([traj.positions[0]], "start")

@@ -4,17 +4,19 @@ With ``m == 1`` and ``mu(y) = y`` the extended dynamics reads
 
     x' = y + cos(gamma),  y' = sin(gamma),  gamma' = -cos(gamma)^2,
 
-and integrates in closed form.  Writing ``u(t) = tan(gamma_0) - t``, the
-heading is ``gamma(t) = atan(u)`` on the branch ``|gamma_0| < pi/2`` and
-``pi + atan(u)`` on the complementary branch; the branch is fixed by the
-initial heading and never changes because atan keeps the heading strictly
-inside it.  Initial headings with ``|cos(gamma_0)| < 1e-12`` route to the
-exact vertical solution ``gamma = +-pi/2``.
+and integrates in closed form.  Writing ``u(t) = tan(gamma_0) - t`` and
+``s = sign(cos(gamma_0))``, the heading obeys ``cos(gamma) = s / sqrt(1 + u^2)``
+and ``sin(gamma) = s u / sqrt(1 + u^2)``: the sign of ``cos(gamma)`` never
+changes along the flow.  Integrating with ``root = sqrt(1 + u^2)`` and
+``w = asinh(u_0) - asinh(u)`` gives
 
-The formulas below use ``1/cos(gamma) = s * sqrt(1 + u^2)`` (``s`` the branch
-sign) and the antiderivative ``s * (u sqrt(1+u^2) - asinh(u)) / 2`` for the
-x-coordinate; differences of the square roots are expanded to stay accurate
-for steep headings.
+    y = y_0 + s t (u_0 + u) / (root_0 + root)
+    x = x_0 + y_0 t + s/2 [t (cosh(w) + 1 + t (u_0 + u)) / (root_0 + root) + w]
+
+where ``cosh(w) = root_0 root - u_0 u``.  Every term stays bounded as the
+heading turns vertical (``u_0 -> inf``), so no large terms cancel and both
+lines keep full accuracy there; an exactly vertical heading (``tan`` of the
+float nearest ``pi/2``) needs no special case.
 """
 
 from __future__ import annotations
@@ -26,19 +28,11 @@ import numpy as np
 from .problems import ExtendedState, wrap_angle
 
 __all__ = [
-    "VERTICAL_EPS",
     "cusp_time",
     "historical_endpoints",
     "historical_positions",
     "historical_state",
-    "historical_state_arrays",
 ]
-
-VERTICAL_EPS = 1e-12
-
-
-def _branch_sign(g0: float) -> float:
-    return 1.0 if abs(g0) < 0.5 * math.pi else -1.0
 
 
 def cusp_time(g0: float) -> float:
@@ -46,59 +40,37 @@ def cusp_time(g0: float) -> float:
     return math.tan(float(wrap_angle(g0)))
 
 
-def historical_state_arrays(x0: float, y0: float, g0: float, t):
-    """Closed-form state at times ``t`` (scalar or array) -> (x, y, gamma) arrays."""
+def _flow(x0: float, y0: float, g0, t, heading: bool = False) -> np.ndarray:
+    """Flow of ``(x0, y0, g0)`` over ``t``; ``g0`` and ``t`` broadcast together.
+
+    Returns positions ``(..., 2)``, with the heading as a third column when
+    ``heading`` is set.
+    """
+    g0 = np.asarray(g0, dtype=float)
     t = np.asarray(t, dtype=float)
-    g0 = float(wrap_angle(float(g0)))
-    c0 = math.cos(g0)
-    if abs(c0) < VERTICAL_EPS:
-        sgn = 1.0 if math.sin(g0) > 0.0 else -1.0
-        y = y0 + sgn * t
-        x = x0 + y0 * t + sgn * 0.5 * t * t
-        g = np.full_like(t, g0)
-        return x, y, g
-    s = _branch_sign(g0)
-    u0 = math.tan(g0)
+    s = np.copysign(1.0, np.cos(g0))
+    u0 = np.tan(g0)
     u = u0 - t
-    root0 = math.hypot(1.0, u0)
-    root = np.hypot(1.0, u)
-    y = y0 + s * t * (u0 + u) / (root0 + root)
-    anti = 0.5 * s * (u * root - np.arcsinh(u))
-    anti0 = 0.5 * s * (u0 * root0 - math.asinh(u0))
-    x = x0 + (y0 + s * root0) * t + (anti - anti0)
-    if s > 0.0:
-        g = np.arctan(u)
-    else:
-        g = wrap_angle(math.pi + np.arctan(u))
-    return x, y, g
+    w = np.arcsinh(u0) - np.arcsinh(u)
+    q = t / (np.hypot(1.0, u0) + np.hypot(1.0, u))
+    g = wrap_angle(np.arctan2(s * u, s)) if heading else None  # -pi -> pi
+    u += u0  # u0 + u from here on
+    y = y0 + s * q * u
+    x = x0 + y0 * t + 0.5 * s * (q * (np.cosh(w) + 1.0 + t * u) + w)
+    return np.stack((x, y, g) if heading else (x, y), axis=-1)
 
 
 def historical_state(state: ExtendedState, t: float) -> ExtendedState:
     """Closed-form flow of a single state over time ``t``."""
-    x, y, g = historical_state_arrays(state.c1, state.c2, state.heading, float(t))
-    return ExtendedState(float(x), float(y), float(g))
+    return ExtendedState(*_flow(state.c1, state.c2, state.heading, float(t), heading=True))
 
 
 def historical_endpoints(x0: float, y0: float, g0s, ts) -> np.ndarray:
-    """Endpoint positions for paired heading/time arrays -> shape (n, 2)."""
-    g0w = np.atleast_1d(np.asarray(wrap_angle(np.asarray(g0s, dtype=float))))
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    c0 = np.cos(g0w)
-    vertical = np.abs(c0) < VERTICAL_EPS
-    s = np.where(np.abs(g0w) < 0.5 * math.pi, 1.0, -1.0)
-    u0 = np.tan(np.where(vertical, 0.0, g0w))
-    root0 = np.hypot(1.0, u0)
-    u = u0 - ts
-    root = np.hypot(1.0, u)
-    y = y0 + s * ts * (u0 + u) / (root0 + root)
-    anti = 0.5 * s * (u * root - np.arcsinh(u))
-    anti0 = 0.5 * s * (u0 * root0 - np.arcsinh(u0))
-    x = x0 + (y0 + s * root0) * ts + (anti - anti0)
-    if np.any(vertical):
-        sgn = np.where(np.sin(g0w[vertical]) > 0.0, 1.0, -1.0)
-        y[vertical] = y0 + sgn * ts[vertical]
-        x[vertical] = x0 + y0 * ts[vertical] + sgn * 0.5 * ts[vertical] ** 2
-    return np.stack((x, y), axis=-1)
+    """Endpoint positions for initial headings ``g0s`` broadcast against times ``ts``.
+
+    Returns an array of shape ``broadcast(g0s, ts).shape + (2,)``.
+    """
+    return _flow(x0, y0, g0s, ts)
 
 
 def historical_positions(x0: float, y0: float, g0s, ts) -> np.ndarray:
@@ -107,21 +79,4 @@ def historical_positions(x0: float, y0: float, g0s, ts) -> np.ndarray:
     Returns an array of shape ``(len(g0s), len(ts), 2)``; fully vectorized,
     which is what makes dense shooting over the heading circle cheap.
     """
-    g0w = np.asarray(wrap_angle(np.asarray(g0s, dtype=float)))
-    ts = np.asarray(ts, dtype=float)
-    c0 = np.cos(g0w)
-    vertical = np.abs(c0) < VERTICAL_EPS
-    s = np.where(np.abs(g0w) < 0.5 * math.pi, 1.0, -1.0)
-    u0 = np.tan(np.where(vertical, 0.0, g0w))
-    root0 = np.hypot(1.0, u0)
-    u = u0[:, None] - ts[None, :]
-    root = np.hypot(1.0, u)
-    y = y0 + s[:, None] * ts[None, :] * (u0[:, None] + u) / (root0[:, None] + root)
-    anti = 0.5 * s[:, None] * (u * root - np.arcsinh(u))
-    anti0 = (0.5 * s * (u0 * root0 - np.arcsinh(u0)))[:, None]
-    x = x0 + (y0 + s * root0)[:, None] * ts[None, :] + (anti - anti0)
-    if np.any(vertical):
-        sgn = np.where(np.sin(g0w[vertical]) > 0.0, 1.0, -1.0)[:, None]
-        y[vertical] = y0 + sgn * ts[None, :]
-        x[vertical] = x0 + y0 * ts[None, :] + sgn * 0.5 * ts[None, :] ** 2
-    return np.stack((x, y), axis=-1)
+    return _flow(x0, y0, np.reshape(g0s, (-1, 1)), np.reshape(ts, (1, -1)))

@@ -26,6 +26,7 @@ __all__ = [
     "Residuals",
     "StepControl",
     "closed_form_trajectory",
+    "endpoints",
     "exponential_map",
     "extended_rhs",
     "first_integral_residuals",
@@ -175,15 +176,15 @@ def _canonical_samples(problem: ProblemDefinition, traj: GeodesicTrajectory):
 
 
 def _states_from_canonical(problem: ProblemDefinition, ys: np.ndarray) -> np.ndarray:
+    """Chart states of canonical ``(r, theta, alpha)`` rows; any leading shape."""
     out = np.empty_like(ys)
     if problem.chart is Chart.POLAR:
-        out[:, 0] = ys[:, 0]
-        out[:, 1] = ys[:, 1]
-        out[:, 2] = wrap_angle(ys[:, 2])
+        out[..., :2] = ys[..., :2]
+        out[..., 2] = wrap_angle(ys[..., 2])
     else:
-        out[:, 0] = ys[:, 1]
-        out[:, 1] = ys[:, 0]
-        out[:, 2] = wrap_angle(0.5 * math.pi - ys[:, 2])
+        out[..., 0] = ys[..., 1]
+        out[..., 1] = ys[..., 0]
+        out[..., 2] = wrap_angle(0.5 * math.pi - ys[..., 2])
     return out
 
 
@@ -303,8 +304,7 @@ def closed_form_trajectory(
     if n_samples < 2:
         raise ValueError("need at least two samples")
     ts = np.linspace(0.0, float(t_final), int(n_samples))
-    x, y, g = closedform.historical_state_arrays(state0.c1, state0.c2, state0.heading, ts)
-    states = np.column_stack((x, y, g))
+    states = closedform._flow(state0.c1, state0.c2, state0.heading, ts, heading=True)
     traj = GeodesicTrajectory(
         problem=problem,
         t=ts,
@@ -318,41 +318,51 @@ def closed_form_trajectory(
     return traj
 
 
-def _endpoint_numeric(
+def _sample(problem: ProblemDefinition, r0: float, th0: float, alphas, ts, control: StepControl):
+    """Numeric flow of the lanes starting at canonical ``(r0, th0, alphas[i])``.
+
+    Lane ``i`` is sampled at the ascending times ``ts[i]``.  Returns the chart
+    states ``(n, m, 3)``, nan past the point where a lane halted, and the
+    kernel status of each lane.
+    """
+    head = (problem.code, problem.k, problem.a, problem.b, r0, th0)
+    tail = (control.rtol, control.atol, control.max_step, *problem.domain,
+            control.boundary_pad, control.max_steps)
+    out = np.full(ts.shape + (3,), np.nan)
+    status = []
+    for i in range(ts.shape[0]):
+        lane = _kernels.rk45_at_times(*head, float(alphas[i]), ts[i], *tail, out[i])
+        status.append(lane[1])
+    return _states_from_canonical(problem, out), status
+
+
+def endpoints(
     problem: ProblemDefinition,
-    state0: ExtendedState,
-    t: float,
-    control: StepControl,
-) -> ExtendedState:
-    r0, th0, al0 = problem.to_canonical(state0)
-    problem.check_domain(r0)
-    ts = np.array([float(t)])
-    out = np.full((1, 3), np.nan)
-    lo, hi = problem.domain
-    filled, status = _kernels.rk45_at_times(
-        problem.code,
-        problem.k,
-        problem.a,
-        problem.b,
-        float(r0),
-        float(th0),
-        float(al0),
-        ts,
-        control.rtol,
-        control.atol,
-        control.max_step,
-        lo,
-        hi,
-        control.boundary_pad,
-        control.max_steps,
-        out,
-    )
-    if filled < 1:
-        raise IntegrationError(
-            f"integration halted before t={t} ({STATUS_NAMES[status]})",
-            STATUS_NAMES[status],
-        )
-    return problem.from_canonical(out[0, 0], out[0, 1], out[0, 2])
+    q0,
+    headings,
+    ts,
+    control: StepControl | None = None,
+) -> np.ndarray:
+    """Positions reached from ``q0`` with initial ``headings`` at times ``ts``.
+
+    ``headings`` has shape (n,); ``ts`` broadcasts against (n, 1), so a 1-d
+    ``ts`` is one row of times shared by every heading, and each row must be
+    ascending.  Returns an (n, m, 2) array, nan where a trajectory halted
+    (left the domain) before the time asked for.  This is the one place that
+    picks the closed form (historical problem) or the numeric integrator.
+    """
+    x0, y0 = float(q0[0]), float(q0[1])
+    problem.check_domain(problem.radius_of((x0, y0)))
+    headings = np.asarray(headings, dtype=float)
+    ts = np.atleast_2d(np.asarray(ts, dtype=float))
+    if problem.family == "historical":
+        if ts.shape[0] == 1:  # one row of times for all headings: the grid form
+            return closedform.historical_positions(x0, y0, headings, ts[0])
+        return closedform.historical_endpoints(x0, y0, headings[:, None], ts)
+    r0, th0, _ = problem.to_canonical(ExtendedState(x0, y0, 0.0))
+    ts = np.broadcast_to(ts, (headings.shape[0], ts.shape[1]))
+    alphas = problem.heading_to_canonical(headings)
+    return _sample(problem, r0, th0, alphas, ts, control or StepControl())[0][..., :2]
 
 
 def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:
@@ -363,14 +373,21 @@ def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:
     """
     if t < 0.0 or t > traj.t_end + 1e-12:
         raise ValueError(f"time {t!r} outside trajectory span [0, {traj.t_end}]")
-    problem = traj.problem
     if traj.method == METHOD_CLOSED_FORM:
         return closedform.historical_state(traj.state(0), float(t))
     idx = int(np.searchsorted(traj.t, t, side="right") - 1)
     idx = max(0, min(idx, len(traj) - 1))
     if traj.t[idx] == t:
         return traj.state(idx)
-    return _endpoint_numeric(problem, traj.state(idx), float(t - traj.t[idx]), traj.control)
+    problem = traj.problem
+    r0, th0, al0 = problem.to_canonical(traj.state(idx))
+    problem.check_domain(r0)
+    dt = float(t - traj.t[idx])
+    states, status = _sample(problem, r0, th0, (al0,), np.array([[dt]]), traj.control)
+    if np.isnan(states[0, 0, 0]):
+        name = STATUS_NAMES[status[0]]
+        raise IntegrationError(f"integration halted before t={dt} ({name})", name)
+    return ExtendedState(*states[0, 0])
 
 
 def exponential_map(
@@ -382,17 +399,13 @@ def exponential_map(
 ) -> tuple[float, float]:
     """Position reached at time ``t`` from ``q0`` with initial heading ``heading0``.
 
-    Dispatches to the closed form for the historical problem and to the
-    numeric integrator otherwise; raises :class:`IntegrationError` when the
-    trajectory leaves the domain before ``t``.
+    Evaluates :func:`endpoints` at one heading and time; raises
+    :class:`IntegrationError` when the trajectory halts (leaves the domain)
+    before ``t``.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    if t == 0.0:
-        return (float(q0[0]), float(q0[1]))
-    state0 = ExtendedState(q0[0], q0[1], heading0)
-    if problem.family == "historical":
-        end = closedform.historical_state(state0, float(t))
-    else:
-        end = _endpoint_numeric(problem, state0, float(t), control or StepControl())
-    return end.position
+    x, y = endpoints(problem, q0, (heading0,), (float(t),), control)[0, 0]
+    if np.isnan(x):
+        raise IntegrationError(f"integration halted before t={t}", "halted")
+    return (float(x), float(y))

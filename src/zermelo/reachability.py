@@ -27,15 +27,14 @@ from .brackets import ExtremalTag, abnormal_headings, classify
 from .cusp import cusp_numeric
 from .flow import (
     GeodesicTrajectory,
-    IntegrationError,
     StepControl,
     closed_form_trajectory,
+    endpoints,
     integrate_numeric,
     state_at,
 )
 from .geometry import polyline_self_intersections, refine_curve_intersection
 from .problems import (
-    Chart,
     DomainError,
     ExtendedState,
     ProblemDefinition,
@@ -186,39 +185,7 @@ class CutLocusEstimate:
     separating_points: list[SeparatingPoint]
 
 
-# -- endpoint evaluation ----------------------------------------------------
-
-
-def _endpoint_batch(problem: ProblemDefinition, q0, control: StepControl):
-    """Vectorized (headings, times) -> positions map from a fixed start."""
-    x0, y0 = float(q0[0]), float(q0[1])
-    if problem.family == "historical":
-
-        def batch(headings, ts):
-            return closedform.historical_endpoints(x0, y0, headings, ts)
-
-        return batch
-
-    from .flow import _endpoint_numeric  # local import: private helper
-
-    def batch(headings, ts):
-        headings = np.atleast_1d(np.asarray(headings, dtype=float))
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.full((headings.shape[0], 2), np.nan)
-        for i in range(headings.shape[0]):
-            if ts[i] <= 0.0:
-                out[i] = (x0, y0)
-                continue
-            try:
-                end = _endpoint_numeric(
-                    problem, ExtendedState(x0, y0, headings[i]), float(ts[i]), control
-                )
-            except IntegrationError:
-                continue
-            out[i] = end.position
-        return out
-
-    return batch
+# -- shooting ----------------------------------------------------------------
 
 
 def build_shooting_grid(
@@ -226,47 +193,13 @@ def build_shooting_grid(
 ) -> ShootingGrid:
     """Dense endpoint grid over evenly spaced headings and times up to t_max."""
     config = config or ShootingConfig()
-    problem.check_domain(problem.radius_of(q0))
     n = config.n_alpha
     alphas = -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
     times = np.linspace(0.0, config.t_max, config.n_time)
-    x0, y0 = float(q0[0]), float(q0[1])
-    if problem.family == "historical":
-        positions = closedform.historical_positions(x0, y0, alphas, times)
-    else:
-        positions = np.full((n, config.n_time, 2), np.nan)
-        from . import _kernels
-
-        lo, hi = problem.domain
-        sc = config.step_control
-        for i, heading in enumerate(alphas):
-            r0, th0, al0 = problem.to_canonical(ExtendedState(x0, y0, heading))
-            out = np.full((config.n_time, 3), np.nan)
-            _kernels.rk45_at_times(
-                problem.code,
-                problem.k,
-                problem.a,
-                problem.b,
-                float(r0),
-                float(th0),
-                float(al0),
-                times,
-                sc.rtol,
-                sc.atol,
-                sc.max_step,
-                lo,
-                hi,
-                sc.boundary_pad,
-                sc.max_steps,
-                out,
-            )
-            if problem.chart is Chart.POLAR:
-                positions[i, :, 0] = out[:, 0]
-                positions[i, :, 1] = out[:, 1]
-            else:
-                positions[i, :, 0] = out[:, 1]
-                positions[i, :, 1] = out[:, 0]
-    return ShootingGrid(q0=(x0, y0), alphas=alphas, times=times, positions=positions)
+    positions = endpoints(problem, q0, alphas, times[None, :], config.step_control)
+    return ShootingGrid(
+        q0=(float(q0[0]), float(q0[1])), alphas=alphas, times=times, positions=positions
+    )
 
 
 def _candidate_nodes(grid: ShootingGrid, target, config: ShootingConfig):
@@ -289,12 +222,16 @@ def _candidate_nodes(grid: ShootingGrid, target, config: ShootingConfig):
     return idx
 
 
-def _newton_polish(endpoint_batch, target, a0, t0, config: ShootingConfig):
+def _newton_polish(problem: ProblemDefinition, q0, target, a0, t0, config: ShootingConfig):
     """Damped Newton on the 2-d endpoint map for a batch of candidates.
 
     Returns (headings, times, converged) with times clamped to [0, inf).
     """
     target = np.asarray(target, dtype=float)
+
+    def endpoint_batch(headings, times):
+        return endpoints(problem, q0, headings, times[:, None], config.step_control)[:, 0]
+
     al = np.asarray(a0, dtype=float).copy()
     tt = np.asarray(t0, dtype=float).copy()
     n = al.shape[0]
@@ -362,9 +299,8 @@ def value_function(
     idx = _candidate_nodes(grid, tgt, config)
     if idx.shape[0] == 0:
         return ValueSample(tgt, UNREACHABLE, None, "unreachable")
-    batch = _endpoint_batch(problem, grid.q0, config.step_control)
     al, tt, converged = _newton_polish(
-        batch, tgt, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]], config
+        problem, grid.q0, tgt, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]], config
     )
     valid = converged & (tt <= config.t_max + 1e-9)
     if not np.any(valid):
@@ -407,7 +343,6 @@ def wavefront(
         raise ValueError("wavefront needs at least 8 headings")
     if not t > 0.0:
         raise ValueError("wavefront time must be positive")
-    control = control or StepControl()
     x0, y0 = float(q0[0]), float(q0[1])
     base = -math.pi + 2.0 * math.pi * np.arange(1, n_alpha + 1) / n_alpha
     extra = np.asarray(wrap_angle(np.asarray(list(include_headings), dtype=float)))
@@ -416,13 +351,8 @@ def wavefront(
     keep[1:] = np.diff(alphas) > 1e-15
     alphas = alphas[keep]
 
-    if problem.family == "historical":
-        positions = closedform.historical_endpoints(x0, y0, alphas, np.full_like(alphas, t))
-        ok = np.ones(alphas.shape[0], dtype=bool)
-    else:
-        batch = _endpoint_batch(problem, (x0, y0), control)
-        positions = batch(alphas, np.full_like(alphas, t))
-        ok = np.isfinite(positions[:, 0])
+    positions = endpoints(problem, (x0, y0), alphas, (float(t),), control)[:, 0]
+    ok = np.isfinite(positions[:, 0])
     tags = [classify(problem, ExtendedState(x0, y0, h)).tag for h in alphas]
     return Wavefront(problem, (x0, y0), float(t), alphas, positions, tags, ok)
 

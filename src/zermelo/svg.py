@@ -100,7 +100,7 @@ class SvgFigure:
         return "\n".join(parts) + "\n"
 
 
-def strong_boundary_polylines(problem, bbox_lo, bbox_hi, n: int = 2) -> list[np.ndarray]:
+def strong_boundary_polylines(problem, bbox_lo, bbox_hi) -> list[np.ndarray]:
     """Lines where the current norm equals 1, clipped to a bounding box.
 
     For the built-in families these are straight lines in chart coordinates

@@ -12,15 +12,20 @@ from zermelo import (
     IntegrationError,
     StepControl,
     closed_form_trajectory,
+    endpoints,
     exponential_map,
     extended_rhs,
     first_integral_residuals,
     integrate_closed_form_historical,
     integrate_numeric,
     make_adjoint,
+    make_historical,
+    make_powerlaw,
+    make_vortex,
     state_at,
     wrap_angle,
 )
+from zermelo.closedform import historical_endpoints, historical_state
 
 from conftest import angle_gap
 
@@ -75,11 +80,35 @@ def test_closed_form_against_numeric_both_branches(historical, g0):
         assert angle_gap(exact.heading, numeric.heading) < 1e-8
 
 
-def test_near_vertical_routes_to_vertical_branch():
-    g0 = math.pi / 2 + 5e-13  # inside the vertical window
+def test_almost_vertical_heading_stays_vertical():
+    g0 = math.pi / 2 + 5e-13
     end = integrate_closed_form_historical(ExtendedState(0, 0, g0), 1.0)
     assert math.isclose(end.c2, 1.0, abs_tol=1e-9)
     assert angle_gap(end.heading, g0) < 1e-9
+
+
+NEAR_VERTICAL = [
+    base + delta
+    for base in (math.pi / 2, -math.pi / 2)
+    for delta in [0.0] + [sign * 10.0**-e for e in range(3, 16) for sign in (1.0, -1.0)]
+]
+
+
+@pytest.mark.parametrize("y0", [-1.5, 0.5, 2.0])
+def test_closed_form_accurate_near_vertical(historical, y0):
+    # steep headings make u0 = tan(gamma_0) huge; the closed form must not
+    # lose digits to cancellation between terms of size u0^2
+    control = StepControl(rtol=1e-13, atol=1e-13)
+    for g0 in NEAR_VERTICAL:
+        state0 = ExtendedState(0.3, y0, g0)
+        traj = integrate_numeric(historical, state0, 2.5, control)
+        pos = historical_endpoints(state0.c1, state0.c2, np.full_like(traj.t, g0), traj.t)
+        assert np.max(np.abs(pos - traj.positions)) < 1e-9, g0
+        for i in (len(traj) // 3, len(traj) - 1):
+            end = historical_state(state0, traj.t[i])
+            assert abs(end.c1 - traj.states[i, 0]) < 1e-9, g0
+            assert abs(end.c2 - traj.states[i, 1]) < 1e-9, g0
+            assert angle_gap(end.heading, traj.states[i, 2]) < 1e-9, g0
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,6 +251,34 @@ def test_exponential_map(historical, vortex):
     assert np.allclose(twin, traj.final_state.position, atol=1e-8)
     with pytest.raises(IntegrationError):
         exponential_map(vortex, (0.2, 0.0), math.pi, 1.0)
+
+
+@pytest.mark.parametrize(
+    "problem, q0",
+    [
+        (make_historical(), (0.0, 2.0)),
+        (make_vortex(1.0), (0.5, 0.0)),
+        (make_powerlaw(k=1.0, a=1.0, b=0.0), (0.5, 0.0)),
+    ],
+    ids=["historical", "vortex", "powerlaw"],
+)
+def test_endpoint_map_grid_and_paired_calls_agree(problem, q0):
+    headings = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+    times = np.linspace(0.0, 1.2, 9)
+    grid = endpoints(problem, q0, headings, times[None, :])
+    assert grid.shape == (24, 9, 2)
+    ii, jj = (a.ravel() for a in np.indices(grid.shape[:2]))
+    paired = endpoints(problem, q0, headings[ii], times[jj][:, None])
+    assert paired.shape == (ii.shape[0], 1, 2)
+    grid, paired = grid[ii, jj], paired[:, 0]
+    if problem.family == "historical":
+        assert np.array_equal(grid, paired)
+        return
+    exited = np.isnan(grid[:, 0])
+    assert exited.any() and not exited.all()  # some headings leave the domain before t
+    assert np.array_equal(np.isnan(paired), np.isnan(grid))
+    assert np.array_equal(np.isnan(grid).all(axis=1), exited)
+    assert np.max(np.abs(grid[~exited] - paired[~exited])) < 1e-8
 
 
 def test_step_control_validation():
