@@ -3,6 +3,8 @@
 The hot inner loops live here: the right-hand side of the canonical
 ``(r, theta, alpha)`` dynamics and a Dormand-Prince 5(4) adaptive stepper,
 once storing every accepted step and once sampling at caller-given times.
+The right-hand side reads the family profiles from
+``problems.profile_table``, compiled here as ``profile``.
 
 The kernels are compiled with numba when it is importable.  Setting the
 environment variable ``ZERMELO_DISABLE_NUMBA=1`` before import selects the
@@ -13,6 +15,8 @@ the kernels and records the backend of each run.
 
 import math
 import os
+
+from .problems import profile_table
 
 NUMBA_ENV_FLAG = "ZERMELO_DISABLE_NUMBA"
 
@@ -67,15 +71,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _H_FLOOR = 1e-14
 
 
-@_njit(cache=True)
-def profile(code, k, a, b, r):
-    """Return (m, m', mu, mu') for the family tagged by ``code`` at radius r."""
-    if code == 0:  # historical: m = 1, mu = r
-        return 1.0, 0.0, r, 1.0
-    if code == 1:  # vortex: m = r, mu = k / r^2
-        return r, 1.0, k / (r * r), -2.0 * k / (r * r * r)
-    m = r ** b
-    return m, b * r ** (b - 1.0), k * r ** a, k * a * r ** (a - 1.0)
+profile = _njit(cache=True)(profile_table)
 
 
 @_njit(cache=True)

@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .problems import Chart, ExtendedState, ProblemDefinition, current_norm, wrap_angle
+from .problems import ExtendedState, ProblemDefinition, current_norm, wrap_angle
 
 __all__ = [
     "BracketData",
@@ -61,13 +61,11 @@ class ExtremalClass:
 def bracket_data(problem: ProblemDefinition, state: ExtendedState) -> BracketData:
     """Evaluate D, D', D'' from the closed formulas (no numeric differentiation)."""
     r, _, alpha = problem.to_canonical(state)
-    m = problem.m(r)
+    m, m_prime, mu, mu_prime = problem.profile(r)
     sa = math.sin(alpha)
     d = 1.0 / m
-    dprime = -problem.mu_prime(r) * sa * sa + problem.m_prime(r) * sa / (m * m)
-    dsecond = problem.mu(r) * sa + 1.0 / m
-    if problem.chart is Chart.HISTORICAL_CARTESIAN:
-        dprime = -dprime
+    dprime = problem.heading_sign * (-mu_prime * sa * sa + m_prime * sa / (m * m))
+    dsecond = mu * sa + 1.0 / m
     return BracketData(d, dprime, dsecond, state)
 
 
@@ -80,8 +78,7 @@ def classify(problem: ProblemDefinition, state: ExtendedState, tol: float = 1e-9
     if not tol > 0.0:
         raise ValueError(f"classification tolerance must be positive, got {tol!r}")
     data = bracket_data(problem, state)
-    r, _, _ = problem.to_canonical(state)
-    scale = 1.0 + float(current_norm(problem, r))
+    scale = 1.0 + float(current_norm(problem, problem.radius_of(state.position)))
     if abs(data.Dsecond) <= tol * scale:
         tag = ExtremalTag.ABNORMAL
     elif data.D * data.Dsecond > 0.0:
@@ -99,24 +96,17 @@ def abnormal_headings(problem: ProblemDefinition, r: float, tol: float = 1e-9) -
     in the strong region.  Headings are returned ascending in the problem's
     chart convention.
     """
-    norm = float(current_norm(problem, r))
-    product = float(problem.mu(r)) * float(problem.m(r))
+    m, _, mu, _ = problem.profile(r)
+    product = float(mu) * float(m)
+    norm = abs(product)  # the current norm |mu| m, as m > 0
     if abs(norm - 1.0) <= tol:
-        sin_alpha = math.copysign(1.0, -product)
-        alpha = math.asin(sin_alpha)
-        return (float(problem.heading_from_canonical(alpha)),)
+        alpha = math.asin(math.copysign(1.0, -product))
+        return (float(problem.swap_heading(alpha)),)
     if norm < 1.0:
         return ()
-    sin_alpha = -1.0 / product
-    alpha1 = math.asin(sin_alpha)
+    alpha1 = math.asin(-1.0 / product)
     alpha2 = float(wrap_angle(math.pi - alpha1))
-    headings = sorted(
-        (
-            float(problem.heading_from_canonical(alpha1)),
-            float(problem.heading_from_canonical(alpha2)),
-        )
-    )
-    return tuple(headings)
+    return tuple(sorted(float(problem.swap_heading(alpha)) for alpha in (alpha1, alpha2)))
 
 
 def singular_feedback(problem: ProblemDefinition, state: ExtendedState) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reachability, svg
-from .brackets import ExtremalTag, classify
+from .brackets import classify
 from .cusp import NotAbnormalError, cusp_historical, cusp_numeric
 from .flow import (
     IntegrationError,
@@ -120,10 +120,6 @@ def _trajectory_rows(traj):
     return list(zip(*columns))
 
 
-def _class_name(tag: ExtremalTag) -> str:
-    return tag.value
-
-
 # -- SVG helpers ---------------------------------------------------------------
 
 
@@ -154,7 +150,7 @@ def cmd_classify(args) -> int:
         "D": data.D,
         "Dprime": data.Dprime,
         "Dsecond": data.Dsecond,
-        "class": _class_name(result.tag),
+        "class": result.tag.value,
         "current_norm": float(current_norm(problem, problem.radius_of(state.position))),
     }
     sys.stdout.write(to_json(payload) + "\n")
@@ -164,7 +160,7 @@ def cmd_classify(args) -> int:
 def cmd_integrate(args) -> int:
     problem = _parse_problem(args.problem)
     c1, c2, heading = _parse_floats(args.state, 3, "--state")
-    if args.t is None or args.t <= 0:
+    if args.t <= 0:
         raise ConfigError("--t must be given and positive")
     control = _step_control(args)
     traj = integrate_numeric(problem, ExtendedState(c1, c2, heading), args.t, control)
@@ -173,7 +169,7 @@ def cmd_integrate(args) -> int:
 
     figure = svg.SvgFigure()
     tag = classify(problem, traj.state(0)).tag
-    figure.polyline(traj.positions, _class_name(tag))
+    figure.polyline(traj.positions, tag.value)
     figure.points([traj.positions[0]], "start")
     _add_boundary(figure, problem, [traj.positions])
     write_text(out / "trajectory.svg", figure.render())
@@ -232,7 +228,7 @@ def _front_rows(front, is_sphere=None):
                 front.alpha0[i],
                 front.positions[i, 0],
                 front.positions[i, 1],
-                _class_name(front.tags[i]),
+                front.tags[i].value,
                 sphere_cell,
             )
         )
@@ -255,7 +251,7 @@ def _front_figure(problem, front, extra_arrays=()):
 def cmd_wavefront(args) -> int:
     problem = _parse_problem(args.problem)
     q0 = _parse_floats(args.q0, 2, "--q0")
-    if args.t is None or args.t <= 0:
+    if args.t <= 0:
         raise ConfigError("--t must be given and positive")
     if args.n < 8:
         raise ConfigError("--n must be at least 8")
@@ -275,7 +271,7 @@ def cmd_wavefront(args) -> int:
 def cmd_ball(args) -> int:
     problem = _parse_problem(args.problem)
     q0 = _parse_floats(args.q0, 2, "--q0")
-    if args.t is None or args.t <= 0:
+    if args.t <= 0:
         raise ConfigError("--t must be given and positive")
     if args.n < 8:
         raise ConfigError("--n must be at least 8")
@@ -383,15 +379,15 @@ def cmd_synthesis(args) -> int:
         for heading in interior:
             traj = _trajectory(problem, ExtendedState(q0[0], q0[1], heading), t_max, control)
             tag = classify(problem, traj.state(0)).tag
-            label = f"{_class_name(tag)}-{format_number(heading)}"
+            label = f"{tag.value}-{format_number(heading)}"
             stride = max(1, len(traj) // 128)
             keep = list(range(0, len(traj), stride))
             if keep[-1] != len(traj) - 1:
                 keep.append(len(traj) - 1)
             pts = traj.positions[keep]
             for i in keep:
-                rows.append((_class_name(tag), label, traj.t[i], traj.states[i, 0], traj.states[i, 1]))
-            polylines.append((_class_name(tag), pts))
+                rows.append((tag.value, label, traj.t[i], traj.states[i, 0], traj.states[i, 1]))
+            polylines.append((tag.value, pts))
     for point in estimate.separating_points:
         rows.append(
             (

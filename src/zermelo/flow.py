@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, closedform
-from .problems import Chart, ExtendedState, ProblemDefinition, wrap_angle
+from .problems import ExtendedState, ProblemDefinition
 
 __all__ = [
     "AdjointInit",
@@ -90,8 +90,9 @@ class AdjointInit:
 
 def make_adjoint(problem: ProblemDefinition, state: ExtendedState) -> AdjointInit:
     r, _, alpha = problem.to_canonical(state)
-    p_theta = float(problem.m(r)) * math.sin(alpha)
-    return AdjointInit(p_theta=p_theta, p_zero=-1.0 - p_theta * float(problem.mu(r)))
+    m, _, mu, _ = problem.profile(r)
+    p_theta = float(m) * math.sin(alpha)
+    return AdjointInit(p_theta=p_theta, p_zero=-1.0 - p_theta * float(mu))
 
 
 @dataclass
@@ -155,37 +156,15 @@ def extended_rhs(problem: ProblemDefinition, state: ExtendedState) -> tuple[floa
     r, _, alpha = problem.to_canonical(state)
     problem.check_domain(r)
     dr, dth, dal = _kernels.rhs(problem.code, problem.k, problem.a, problem.b, r, alpha)
-    if problem.chart is Chart.POLAR:
-        return dr, dth, dal
-    return dth, dr, -dal
+    d1, d2, _ = problem.swap(dr, dth, 0.0)
+    return d1, d2, problem.heading_sign * dal
 
 
 def position_speed(problem: ProblemDefinition, state: ExtendedState) -> float:
     """Metric norm of the position velocity, sqrt(r'^2 + m^2 theta'^2)."""
     r, _, alpha = problem.to_canonical(state)
-    m = float(problem.m(r))
-    mu = float(problem.mu(r))
-    return math.hypot(math.cos(alpha), m * mu + math.sin(alpha))
-
-
-def _canonical_samples(problem: ProblemDefinition, traj: GeodesicTrajectory):
-    """(r, alpha) arrays of a trajectory, independent of its chart."""
-    if problem.chart is Chart.POLAR:
-        return traj.states[:, 0], traj.states[:, 2]
-    return traj.states[:, 1], np.asarray(wrap_angle(0.5 * math.pi - traj.states[:, 2]))
-
-
-def _states_from_canonical(problem: ProblemDefinition, ys: np.ndarray) -> np.ndarray:
-    """Chart states of canonical ``(r, theta, alpha)`` rows; any leading shape."""
-    out = np.empty_like(ys)
-    if problem.chart is Chart.POLAR:
-        out[..., :2] = ys[..., :2]
-        out[..., 2] = wrap_angle(ys[..., 2])
-    else:
-        out[..., 0] = ys[..., 1]
-        out[..., 1] = ys[..., 0]
-        out[..., 2] = wrap_angle(0.5 * math.pi - ys[..., 2])
-    return out
+    m, _, mu, _ = problem.profile(r)
+    return math.hypot(math.cos(alpha), float(m) * float(mu) + math.sin(alpha))
 
 
 def first_integral_residuals(problem: ProblemDefinition, traj: GeodesicTrajectory) -> Residuals:
@@ -194,13 +173,12 @@ def first_integral_residuals(problem: ProblemDefinition, traj: GeodesicTrajector
     Samples where a relation has a removable pole (|sin alpha| or
     |cos gamma| at or below 1e-6) are masked with nan rather than evaluated.
     """
-    r, alpha = _canonical_samples(problem, traj)
+    r, _, alpha = problem.swap(*traj.states.T)
     n = r.shape[0]
     if n == 0:
         empty = np.empty(0)
         return Residuals(empty.copy(), empty.copy(), empty.copy())
-    m = problem.m(r)
-    mu = problem.mu(r)
+    m, _, mu, _ = problem.profile(r)
     sin_a = np.sin(alpha)
     cos_a = np.cos(alpha)
     p_theta = traj.adjoint.p_theta
@@ -271,7 +249,7 @@ def integrate_numeric(
         out_y,
     )
     t = out_t[:n].copy()
-    states = _states_from_canonical(problem, out_y[:n])
+    states = np.stack(problem.swap(*out_y[:n].T), axis=-1)
     traj = GeodesicTrajectory(
         problem=problem,
         t=t,
@@ -333,7 +311,7 @@ def _sample(problem: ProblemDefinition, r0: float, th0: float, alphas, ts, contr
     for i in range(ts.shape[0]):
         lane = _kernels.rk45_at_times(*head, float(alphas[i]), ts[i], *tail, out[i])
         status.append(lane[1])
-    return _states_from_canonical(problem, out), status
+    return np.stack(problem.swap(*np.moveaxis(out, -1, 0)), axis=-1), status
 
 
 def endpoints(
@@ -352,16 +330,16 @@ def endpoints(
     picks the closed form (historical problem) or the numeric integrator.
     """
     x0, y0 = float(q0[0]), float(q0[1])
-    problem.check_domain(problem.radius_of((x0, y0)))
+    r0, th0, _ = problem.swap(x0, y0, 0.0)
+    problem.check_domain(r0)
     headings = np.asarray(headings, dtype=float)
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     if problem.family == "historical":
         if ts.shape[0] == 1:  # one row of times for all headings: the grid form
             return closedform.historical_positions(x0, y0, headings, ts[0])
         return closedform.historical_endpoints(x0, y0, headings[:, None], ts)
-    r0, th0, _ = problem.to_canonical(ExtendedState(x0, y0, 0.0))
     ts = np.broadcast_to(ts, (headings.shape[0], ts.shape[1]))
-    alphas = problem.heading_to_canonical(headings)
+    alphas = problem.swap_heading(headings)
     return _sample(problem, r0, th0, alphas, ts, control or StepControl())[0][..., :2]
 
 

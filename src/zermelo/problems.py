@@ -16,7 +16,11 @@ Three closed families are built in:
 * ``powerlaw``     -- ``m(r) = r^b``, ``mu(r) = k r^a``; subsumes both built-ins
   up to chart relabeling and keeps the config format closed.
 
-Derivatives of the profiles are analytic per family, never finite differences:
+This is the only module that knows the families.  :func:`profile_table`
+holds the profile formulas once, for :meth:`ProblemDefinition.profile` and
+the compiled integration kernels alike; the problem also gives the radii of
+the strong/weak boundary and the chart map to canonical ``(r, theta, alpha)``.
+Derivatives of the profiles are analytic, never finite differences:
 downstream quantities (the heading feedback and the bracket determinants) are
 sensitive to derivative error.
 """
@@ -39,6 +43,7 @@ __all__ = [
     "make_powerlaw",
     "make_vortex",
     "problem_from_descriptor",
+    "profile_table",
     "wrap_angle",
 ]
 
@@ -93,12 +98,27 @@ class ExtendedState:
 _FAMILY_CODES = {"historical": 0, "vortex": 1, "powerlaw": 2}
 
 
+def profile_table(code, k, a, b, r):
+    """Return ``(m, m', mu, mu')`` for the family tagged by ``code`` at radius r.
+
+    The one table of profile formulas.  Each branch returns scalars for a
+    scalar r, so the integration kernels can compile it as it stands.
+    """
+    if code == 0:  # historical: m = 1, mu = r
+        return 1.0, 0.0, r, 1.0
+    if code == 1:  # vortex: m = r, mu = k / r^2
+        return r, 1.0, k / (r * r), -2.0 * k / (r * r * r)
+    m = r ** b
+    return m, b * r ** (b - 1.0), k * r ** a, k * a * r ** (a - 1.0)
+
+
 @dataclass(frozen=True)
 class ProblemDefinition:
-    """Metric profile ``m``, current profile ``mu`` and their chart.
+    """One family's profiles ``m`` and ``mu``, its parameters and its chart.
 
-    Immutable after construction; all methods are pure, accept scalars or
-    numpy arrays, and raise :class:`DomainError` outside the open ``domain``.
+    Immutable after construction; all methods are pure and accept scalars or
+    numpy arrays.  :meth:`profile` raises :class:`DomainError` outside the
+    open ``domain``; :meth:`swap` maps chart states to canonical ones and back.
     """
 
     family: str
@@ -116,73 +136,73 @@ class ProblemDefinition:
         if not np.all(inside):
             raise DomainError(f"radius {r!r} outside the open domain ({lo}, {hi})")
 
-    def m(self, r):
-        """Metric profile m(r) > 0."""
-        self.check_domain(r)
-        if self.family == "historical":
-            return np.ones_like(r, dtype=float) if isinstance(r, np.ndarray) else 1.0
-        if self.family == "vortex":
-            return 1.0 * r
-        return r ** self.b
+    def profile(self, r):
+        """``(m, m', mu, mu')`` at radius r, from :func:`profile_table`.
 
-    def m_prime(self, r):
+        A scalar radius gives four scalars; an array gives four arrays of its
+        shape, a family's constant profiles broadcast to it.
+        """
         self.check_domain(r)
-        if self.family == "historical":
-            return np.zeros_like(r, dtype=float) if isinstance(r, np.ndarray) else 0.0
-        if self.family == "vortex":
-            return np.ones_like(r, dtype=float) if isinstance(r, np.ndarray) else 1.0
-        return self.b * r ** (self.b - 1.0)
+        values = profile_table(self.code, self.k, self.a, self.b, r)
+        if isinstance(r, np.ndarray):
+            return tuple(np.broadcast_to(np.asarray(v, dtype=float), r.shape) for v in values)
+        return values
 
-    def mu(self, r):
-        """Current intensity along the parallels."""
-        self.check_domain(r)
-        if self.family == "historical":
-            return 1.0 * r
-        if self.family == "vortex":
-            return self.k / (r * r)
-        return self.k * r ** self.a
+    def strong_boundary_radii(self) -> tuple[float, ...]:
+        """Radii where ``|mu| m = 1``, the boundary of the strong-current region.
 
-    def mu_prime(self, r):
-        self.check_domain(r)
+        Empty when the current norm never crosses 1 at an isolated radius
+        (a power law with ``k = 0`` or ``a + b = 0``).
+        """
         if self.family == "historical":
-            return np.ones_like(r, dtype=float) if isinstance(r, np.ndarray) else 1.0
+            return (-1.0, 1.0)
         if self.family == "vortex":
-            return -2.0 * self.k / (r * r * r)
-        return self.k * self.a * r ** (self.a - 1.0)
+            return (self.k,)  # |mu| m = k / r
+        if self.k == 0.0 or self.a + self.b == 0.0:
+            return ()
+        level = abs(1.0 / self.k) ** (1.0 / (self.a + self.b))
+        return (level,) if math.isfinite(level) else ()
 
     # -- chart conversions --------------------------------------------------
 
     @property
     def code(self) -> int:
-        """Integer family tag consumed by the integration kernels."""
+        """Integer family tag consumed by :func:`profile_table` and the kernels."""
         return _FAMILY_CODES[self.family]
 
-    def to_canonical(self, state: ExtendedState) -> tuple[float, float, float]:
-        """Read a chart state as canonical ``(r, theta, alpha)``."""
-        if self.chart is Chart.POLAR:
-            return state.c1, state.c2, state.heading
-        return state.c2, state.c1, float(wrap_angle(HALF_PI - state.heading))
+    @property
+    def radius_axis(self) -> int:
+        """Index of the radius among the chart's two position coordinates."""
+        return 0 if self.chart is Chart.POLAR else 1
 
-    def from_canonical(self, r: float, theta: float, alpha: float) -> ExtendedState:
-        if self.chart is Chart.POLAR:
-            return ExtendedState(r, theta, alpha)
-        return ExtendedState(theta, r, HALF_PI - alpha)
+    @property
+    def heading_sign(self) -> float:
+        """Chart heading rate per unit alpha rate: +1 (polar) or -1 (Cartesian)."""
+        return 1.0 if self.chart is Chart.POLAR else -1.0
 
-    def heading_to_canonical(self, heading):
-        """Chart heading -> canonical alpha (an involution in the Cartesian chart)."""
+    def swap_heading(self, heading):
+        """Chart heading <-> canonical alpha, wrapped; the map is its own inverse."""
         if self.chart is Chart.POLAR:
             return wrap_angle(heading)
         return wrap_angle(HALF_PI - heading)
 
-    def heading_from_canonical(self, alpha):
+    def swap(self, c1, c2, heading):
+        """Chart state <-> canonical ``(r, theta, alpha)``; its own inverse.
+
+        Works on scalars and arrays alike.  The position part is linear, so
+        it maps velocities as it maps points.
+        """
         if self.chart is Chart.POLAR:
-            return wrap_angle(alpha)
-        return wrap_angle(HALF_PI - alpha)
+            return c1, c2, self.swap_heading(heading)
+        return c2, c1, self.swap_heading(heading)
+
+    def to_canonical(self, state: ExtendedState) -> tuple[float, float, float]:
+        """Read a chart state as canonical ``(r, theta, alpha)``."""
+        return self.swap(state.c1, state.c2, state.heading)
 
     def radius_of(self, position) -> float:
         """Canonical radius coordinate of a chart position pair."""
-        c1, c2 = float(position[0]), float(position[1])
-        return c1 if self.chart is Chart.POLAR else c2
+        return float(position[self.radius_axis])
 
 
 def make_historical() -> ProblemDefinition:
@@ -224,7 +244,8 @@ def current_norm(problem: ProblemDefinition, r):
     Values above 1 mark the strong-current region, values below 1 the weak
     one; the boundary is exactly where the drift ties the unit own-speed.
     """
-    return np.abs(problem.mu(r)) * problem.m(r)
+    m, _, mu, _ = problem.profile(r)
+    return np.abs(mu) * m
 
 
 def problem_from_descriptor(descriptor: dict) -> ProblemDefinition:

@@ -357,19 +357,27 @@ def wavefront(
     return Wavefront(problem, (x0, y0), float(t), alphas, positions, tags, ok)
 
 
+def _forward_cusp_time(
+    problem: ProblemDefinition, state0: ExtendedState, t_max: float, control: StepControl
+) -> float:
+    """Forward cusp time of the abnormal from ``state0``; inf if none.
+
+    Analytic for the historical problem, else searched numerically up to ``t_max``.
+    """
+    if problem.family == "historical":
+        t_c = closedform.cusp_time(state0.heading)
+        return t_c if t_c > 0.0 else math.inf
+    cp = cusp_numeric(problem, state0, t_max, control)
+    return math.inf if cp is None else cp.t_cusp
+
+
 def _abnormal_arc(
     problem: ProblemDefinition, q0, heading: float, t: float, control: StepControl
 ) -> GeodesicTrajectory:
     state0 = ExtendedState(q0[0], q0[1], heading)
-    t_arc = t
+    t_arc = min(t, _forward_cusp_time(problem, state0, t, control))
     if problem.family == "historical":
-        t_c = closedform.cusp_time(heading)
-        if t_c > 0.0:
-            t_arc = min(t_arc, t_c)
         return closed_form_trajectory(problem, state0, t_arc, n_samples=256)
-    cp = cusp_numeric(problem, state0, t, control)
-    if cp is not None:
-        t_arc = min(t_arc, cp.t_cusp)
     return integrate_numeric(problem, state0, t_arc, control)
 
 
@@ -546,21 +554,13 @@ def loop_time_estimate(
 
 def _default_cut_horizon(problem: ProblemDefinition, q0, heads, control: StepControl) -> float:
     """Adapted neighborhood radius: 1.5x the forward cusp time of the cusped arc."""
-    times = []
-    for h in heads:
-        if problem.family == "historical":
-            t_c = closedform.cusp_time(h)
-            if t_c > 0.0:
-                times.append(t_c)
-        else:
-            cp = cusp_numeric(problem, ExtendedState(q0[0], q0[1], h), 20.0, control)
-            if cp is not None:
-                times.append(cp.t_cusp)
-    if not times:
+    states = [ExtendedState(q0[0], q0[1], h) for h in heads]
+    t_cusp = min((_forward_cusp_time(problem, s, 20.0, control) for s in states), default=math.inf)
+    if math.isinf(t_cusp):
         raise ValueError(
             "no forward cusp found to size the adapted neighborhood; pass t_max explicitly"
         )
-    return 1.5 * min(times)
+    return 1.5 * t_cusp
 
 
 def cut_locus_estimate(

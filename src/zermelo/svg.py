@@ -7,7 +7,6 @@ and fixed decimal formatting, so identical data yields identical bytes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,24 +102,14 @@ class SvgFigure:
 def strong_boundary_polylines(problem, bbox_lo, bbox_hi) -> list[np.ndarray]:
     """Lines where the current norm equals 1, clipped to a bounding box.
 
-    For the built-in families these are straight lines in chart coordinates
-    (|y| = 1, or r = k for the vortex), so no sampling is involved.
+    The boundary lies at constant radii, so each level is a straight line
+    across the box along the chart's radius axis; no sampling is involved.
     """
+    axis = problem.radius_axis
     lines: list[np.ndarray] = []
-    x0, y0 = float(bbox_lo[0]), float(bbox_lo[1])
-    x1, y1 = float(bbox_hi[0]), float(bbox_hi[1])
-    if problem.family == "historical":
-        for level in (-1.0, 1.0):
-            if y0 - 0.2 <= level <= y1 + 0.2:
-                lines.append(np.array([[x0, level], [x1, level]]))
-    elif problem.family == "vortex":
-        level = problem.k  # current_norm = k / r
-        if x0 - 0.2 <= level <= x1 + 0.2:
-            lines.append(np.array([[level, y0], [level, y1]]))
-    elif problem.family == "powerlaw" and problem.k != 0.0:
-        exponent = problem.a + problem.b
-        if exponent != 0.0:
-            level = abs(1.0 / problem.k) ** (1.0 / exponent)
-            if math.isfinite(level) and x0 - 0.2 <= level <= x1 + 0.2:
-                lines.append(np.array([[level, y0], [level, y1]]))
+    for level in problem.strong_boundary_radii():
+        if bbox_lo[axis] - 0.2 <= level <= bbox_hi[axis] + 0.2:
+            line = np.array([bbox_lo, bbox_hi], dtype=float)
+            line[:, axis] = level
+            lines.append(line)
     return lines

@@ -68,9 +68,8 @@ def _chart_fields(problem):
 
         def x_field(q):
             r, _, a = q
-            return np.array(
-                [math.cos(a), problem.mu(r) + math.sin(a) / problem.m(r), 0.0]
-            )
+            m, _, mu, _ = problem.profile(r)
+            return np.array([math.cos(a), mu + math.sin(a) / m, 0.0])
 
     def y_field(q):
         return np.array([0.0, 0.0, 1.0])

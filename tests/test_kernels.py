@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from zermelo import _kernels
 from zermelo.flow import StepControl
@@ -39,16 +40,20 @@ def _run_probe(disable: bool):
     return json.loads(proc.stdout)
 
 
-def test_env_flag_selects_backend():
-    fast = _run_probe(disable=False)
-    slow = _run_probe(disable=True)
+@pytest.fixture(scope="module")
+def probes():
+    """Probe output with numba allowed (False) and disabled (True), one run each."""
+    return {disable: _run_probe(disable) for disable in (False, True)}
+
+
+def test_env_flag_selects_backend(probes):
+    fast, slow = probes[False], probes[True]
     assert slow["backend"] == "numpy"
     assert fast["backend"] in ("numba", "numpy")  # numba expected when installed
 
 
-def test_backends_agree():
-    fast = _run_probe(disable=False)
-    slow = _run_probe(disable=True)
+def test_backends_agree(probes):
+    fast, slow = probes[False], probes[True]
     for a, b in zip(fast["finals"], slow["finals"]):
         assert a[3] == b[3]  # identical accepted-step counts
         assert np.allclose(a[:3], b[:3], atol=1e-12)

@@ -18,18 +18,18 @@ from zermelo import (
 
 
 def test_historical_profiles(historical):
-    assert historical.mu(2.0) == 2.0
-    assert historical.m(-5.0) == 1.0
-    assert historical.m_prime(3.0) == 0.0
-    assert historical.mu_prime(-7.0) == 1.0
+    assert historical.profile(2.0)[2] == 2.0
+    assert historical.profile(-5.0)[0] == 1.0
+    assert historical.profile(3.0)[1] == 0.0
+    assert historical.profile(-7.0)[3] == 1.0
     assert historical.chart is Chart.HISTORICAL_CARTESIAN
 
 
 def test_vortex_profiles(vortex):
-    assert vortex.mu(2.0) == 0.25
-    assert vortex.m(2.0) == 2.0
-    assert vortex.mu_prime(1.0) == -2.0
-    assert vortex.m_prime(17.0) == 1.0
+    assert vortex.profile(2.0)[2] == 0.25
+    assert vortex.profile(2.0)[0] == 2.0
+    assert vortex.profile(1.0)[3] == -2.0
+    assert vortex.profile(17.0)[1] == 1.0
     assert vortex.chart is Chart.POLAR
 
 
@@ -42,12 +42,12 @@ def test_vortex_rejects_bad_circulation():
 def test_powerlaw_subsumes_builtins(vortex, powerlaw_historical_twin):
     r = np.linspace(0.2, 4.0, 17)
     twin = powerlaw_historical_twin
-    assert np.allclose(twin.m(r), 1.0)
-    assert np.allclose(twin.mu(r), r)
+    assert np.allclose(twin.profile(r)[0], 1.0)
+    assert np.allclose(twin.profile(r)[2], r)
     vtwin = make_powerlaw(k=1.0, a=-2.0, b=1.0)
-    assert np.allclose(vtwin.m(r), vortex.m(r))
-    assert np.allclose(vtwin.mu(r), vortex.mu(r))
-    assert np.allclose(vtwin.mu_prime(r), vortex.mu_prime(r))
+    assert np.allclose(vtwin.profile(r)[0], vortex.profile(r)[0])
+    assert np.allclose(vtwin.profile(r)[2], vortex.profile(r)[2])
+    assert np.allclose(vtwin.profile(r)[3], vortex.profile(r)[3])
 
 
 def test_current_norm_values(historical, vortex):
@@ -69,12 +69,12 @@ def test_current_norm_vortex_is_k_over_r(r):
 def test_domain_errors(vortex):
     for bad in (0.0, -1.0):
         with pytest.raises(DomainError):
-            vortex.mu(bad)
+            vortex.profile(bad)
     with pytest.raises(DomainError):
         current_norm(vortex, -0.5)
     # arrays are validated elementwise
     with pytest.raises(DomainError):
-        vortex.m(np.array([0.5, -0.1]))
+        vortex.profile(np.array([0.5, -0.1]))
 
 
 @given(st.floats(-1e6, 1e6, allow_nan=False))
@@ -102,12 +102,64 @@ def test_chart_roundtrip(historical, vortex):
     s = ExtendedState(0.3, 2.0, -1.1)
     for problem in (historical, vortex):
         r, th, al = problem.to_canonical(s)
-        back = problem.from_canonical(r, th, al)
+        back = ExtendedState(*problem.swap(r, th, al))
         assert math.isclose(back.c1, s.c1)
         assert math.isclose(back.c2, s.c2)
         assert math.isclose(back.heading, s.heading)
-        h = problem.heading_from_canonical(problem.heading_to_canonical(-2.5))
+        h = problem.swap_heading(problem.swap_heading(-2.5))
         assert math.isclose(h, -2.5)
+    # (n, 3) arrays of chart states
+    rng = np.random.default_rng(3)
+    states = np.column_stack(
+        (rng.uniform(0.1, 3.0, 64), rng.uniform(-3.0, 3.0, 64), rng.uniform(-3.0, 3.0, 64))
+    )
+    for problem in (historical, vortex):
+        back = np.stack(problem.swap(*problem.swap(*states.T)), axis=-1)
+        assert back.shape == states.shape
+        assert np.array_equal(back[:, :2], states[:, :2])
+        np.testing.assert_allclose(back[:, 2], states[:, 2], rtol=0.0, atol=1e-15)
+    r, theta, alpha = historical.swap(*states.T)  # (x, y, gamma) -> (y, x, pi/2 - gamma)
+    assert np.array_equal(r, states[:, 1]) and np.array_equal(theta, states[:, 0])
+    np.testing.assert_allclose(np.sin(alpha), np.cos(states[:, 2]), rtol=0.0, atol=1e-15)
+
+
+_PROBLEMS = st.one_of(
+    st.just(make_historical()),
+    st.floats(0.5, 2.0).map(make_vortex),
+    # |k| bounded away from 0 keeps the profiles clear of subnormal round-off
+    st.tuples(
+        st.floats(-3.0, 3.0).filter(lambda k: abs(k) >= 1e-3),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+    ).map(
+        lambda kab: make_powerlaw(*kab)
+    ),
+)
+
+
+@given(_PROBLEMS, st.floats(0.2, 4.0))
+def test_profile_derivatives_match_central_differences(problem, r):
+    m, m_prime, mu, mu_prime = problem.profile(r)
+    h = 1e-6 * r
+    m_hi, _, mu_hi, _ = problem.profile(r + h)
+    m_lo, _, mu_lo, _ = problem.profile(r - h)
+    for value, slope, hi, lo in ((m, m_prime, m_hi, m_lo), (mu, mu_prime, mu_hi, mu_lo)):
+        # round-off of the difference scales with |f| / r, truncation with h^2
+        assert abs((hi - lo) / (2.0 * h) - slope) <= 1e-7 * (abs(value) / r + abs(slope))
+
+
+@given(_PROBLEMS, st.lists(st.floats(0.2, 4.0), min_size=1, max_size=8))
+def test_profile_of_array_matches_scalar_calls(problem, radii):
+    r = np.array(radii)
+    columns = problem.profile(r)
+    for column in columns:
+        assert isinstance(column, np.ndarray) and column.shape == r.shape
+    for i, ri in enumerate(radii):
+        np.testing.assert_allclose([c[i] for c in columns], problem.profile(ri), rtol=1e-15)
+    if problem.family == "historical":  # constants broadcast to the radius shape
+        assert np.array_equal(columns[0], np.ones_like(r))
+        assert np.array_equal(columns[1], np.zeros_like(r))
+        assert np.array_equal(columns[3], np.ones_like(r))
 
 
 def test_descriptor_parsing():
