@@ -35,6 +35,9 @@ __all__ = [
     "singular_feedback",
 ]
 
+# current norms within this of 1 give the single tangent abnormal heading
+TANGENT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BracketData:
@@ -88,18 +91,18 @@ def classify(problem: ProblemDefinition, state: ExtendedState, tol: float = 1e-9
     return ExtremalClass(tag, data)
 
 
-def abnormal_headings(problem: ProblemDefinition, r: float, tol: float = 1e-9) -> tuple[float, ...]:
+def abnormal_headings(problem: ProblemDefinition, r: float) -> tuple[float, ...]:
     """Chart headings at radius r for which D'' vanishes.
 
     Empty in the weak-current region, a single tangent heading where
-    ``|mu| m = 1`` (within ``tol``), and two headings with equal heading-sine
-    in the strong region.  Headings are returned ascending in the problem's
-    chart convention.
+    ``|mu| m = 1`` (within ``TANGENT_TOL``), and two headings with equal
+    heading-sine in the strong region.  Headings are returned ascending in
+    the problem's chart convention.
     """
     m, _, mu, _ = problem.profile(r)
     product = float(mu) * float(m)
     norm = abs(product)  # the current norm |mu| m, as m > 0
-    if abs(norm - 1.0) <= tol:
+    if abs(norm - 1.0) <= TANGENT_TOL:
         alpha = math.asin(math.copysign(1.0, -product))
         return (float(problem.swap_heading(alpha)),)
     if norm < 1.0:

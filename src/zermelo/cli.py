@@ -100,7 +100,17 @@ def _step_control(args) -> StepControl:
         return StepControl()
     if tol <= 0:
         raise ConfigError("--tol must be positive")
-    return StepControl(rtol=tol, atol=tol)
+    return StepControl(tol)
+
+
+def _shooting_config(args, t_max=None) -> reachability.ShootingConfig:
+    """Shooting setup: ``--t-max`` (else ``t_max``) and ``--tol`` as landing tolerance."""
+    kwargs = {} if t_max is None else {"t_max": t_max}
+    if args.t_max is not None:
+        kwargs["t_max"] = args.t_max
+    if args.tol is not None:
+        kwargs["position_tol"] = args.tol
+    return reachability.ShootingConfig(**kwargs)
 
 
 def _trajectory(problem, state, t_final, control):
@@ -181,7 +191,6 @@ def cmd_cusp(args) -> int:
     problem = _parse_problem(args.problem)
     c1, c2, heading = _parse_floats(args.state, 3, "--state")
     state = ExtendedState(c1, c2, heading)
-    control = StepControl()
     # CLI states arrive with few digits; accept almost-abnormal headings
     tol = args.tol if args.tol is not None else 1e-4
     try:
@@ -189,7 +198,7 @@ def cmd_cusp(args) -> int:
             cp = cusp_historical(state, tol=tol)
         else:
             t_max = args.t_max if args.t_max is not None else 10.0
-            cp = cusp_numeric(problem, state, t_max, control, tol=tol)
+            cp = cusp_numeric(problem, state, t_max, tol=tol)
     except NotAbnormalError as exc:
         raise ConfigError(str(exc)) from exc
     if cp is None:
@@ -207,7 +216,7 @@ def cmd_cusp(args) -> int:
         out = _out_dir(args)
         write_text(out / "cusp.json", text)
         span = 2.0 * cp.t_cusp if cp is not None else (args.t_max or 4.0)
-        traj = _trajectory(problem, state, span, control)
+        traj = _trajectory(problem, state, span, StepControl())
         write_csv(out / "cusp_trajectory.csv", TRAJECTORY_HEADER, _trajectory_rows(traj))
         figure = svg.SvgFigure()
         figure.polyline(traj.positions, "abnormal")
@@ -275,9 +284,7 @@ def cmd_ball(args) -> int:
         raise ConfigError("--t must be given and positive")
     if args.n < 8:
         raise ConfigError("--n must be at least 8")
-    config = reachability.ShootingConfig(
-        t_max=args.t_max if args.t_max is not None else max(6.0, 2.0 * args.t)
-    )
+    config = _shooting_config(args, max(6.0, 2.0 * args.t))
     result = reachability.sphere_and_ball(problem, q0, args.t, args.n, config)
     out = _out_dir(args)
     write_csv(
@@ -309,12 +316,7 @@ def cmd_value(args) -> int:
     seg_a, seg_b = _parse_segment(args.segment)
     if args.n < 2:
         raise ConfigError("--n must be at least 2")
-    kwargs = {}
-    if args.t_max is not None:
-        kwargs["t_max"] = args.t_max
-    if args.tol is not None:
-        kwargs["position_tol"] = args.tol
-    config = reachability.ShootingConfig(**kwargs)
+    config = _shooting_config(args)
     scan = reachability.discontinuity_scan(problem, q0, (seg_a, seg_b), args.n, config)
     out = _out_dir(args)
     rows = []
@@ -427,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--problem", default="historical", help="preset name or JSON descriptor")
-        p.add_argument("--tol", type=float, default=None, help="integration/shooting tolerance")
+        p.add_argument("--tol", type=float, default=None,
+                       help="classification (classify, cusp), integration (integrate, "
+                       "wavefront, synthesis) or landing (value, ball) tolerance")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("classify", help="bracket determinants and heading class at a state")

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import ExtremalTag, classify
-from .flow import (
-    GeodesicTrajectory,
-    StepControl,
-    integrate_numeric,
-    position_speed,
-    state_at,
-)
+from .flow import GeodesicTrajectory, integrate_numeric, position_speed, state_at
 from . import closedform
 from .problems import ExtendedState, ProblemDefinition, make_historical
 
@@ -88,7 +82,6 @@ def cusp_numeric(
     problem: ProblemDefinition,
     state0: ExtendedState,
     t_max: float,
-    control: StepControl | None = None,
     tol: float = 1e-9,
 ) -> CuspPoint | None:
     """First forward cusp of an abnormal geodesic, located numerically.
@@ -101,7 +94,7 @@ def cusp_numeric(
     _require_abnormal(problem, state0, tol)
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    traj = integrate_numeric(problem, state0, t_max, control)
+    traj = integrate_numeric(problem, state0, t_max)
     speeds = np.array([position_speed(problem, traj.state(i)) for i in range(len(traj))])
     for i in range(1, len(traj) - 1):
         if not (speeds[i] < speeds[i - 1] and speeds[i] <= speeds[i + 1]):

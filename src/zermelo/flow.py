@@ -50,6 +50,12 @@ STATUS_NAMES = {
 # residual masks: both conserved relations have removable poles at these angles
 SIN_ALPHA_FLOOR = 1e-6
 
+# fixed limits of the adaptive 5(4) stepper: largest step, stored steps per
+# trajectory, and the distance from the domain boundary that halts a lane
+MAX_STEP = 0.25
+MAX_STEPS = 200_000
+BOUNDARY_PAD = 1e-6
+
 
 class IntegrationError(RuntimeError):
     """An endpoint was requested past the point where integration halted."""
@@ -61,17 +67,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Tolerances and limits for the adaptive 5(4) stepper."""
+    """Error tolerance of the adaptive 5(4) stepper, relative and absolute alike."""
 
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    max_step: float = 0.25
-    max_steps: int = 200_000
-    boundary_pad: float = 1e-6
+    tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0 or self.max_step <= 0.0:
-            raise ValueError("step-control tolerances must be positive")
+        if self.tol <= 0.0:
+            raise ValueError("step-control tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,13 +81,12 @@ class AdjointInit:
     """Conserved adjoint data fixed at the start of a trajectory.
 
     ``p_theta`` is the angular momentum conjugate to the symmetry,
-    ``p_zero`` the cost multiplier; the initial covector norm ``lambda0``
-    is always normalized to 1.
+    ``p_zero`` the cost multiplier; the initial covector norm is normalized
+    to 1.
     """
 
     p_theta: float
     p_zero: float
-    lambda0: float = 1.0
 
 
 def make_adjoint(problem: ProblemDefinition, state: ExtendedState) -> AdjointInit:
@@ -209,6 +210,11 @@ def first_integral_residuals(problem: ProblemDefinition, traj: GeodesicTrajector
     return Residuals(res_h, res_red, res_hist)
 
 
+def _step_args(problem: ProblemDefinition, control: StepControl) -> tuple:
+    """Kernel arguments after the start and the time: rtol, atol, max step, domain, pad."""
+    return (control.tol, control.tol, MAX_STEP, *problem.domain, BOUNDARY_PAD)
+
+
 def integrate_numeric(
     problem: ProblemDefinition,
     state0: ExtendedState,
@@ -226,27 +232,12 @@ def integrate_numeric(
     control = control or StepControl()
     r0, th0, al0 = problem.to_canonical(state0)
     problem.check_domain(r0)
-    n_max = control.max_steps + 1
+    n_max = MAX_STEPS + 1
     out_t = np.empty(n_max)
     out_y = np.empty((n_max, 3))
-    lo, hi = problem.domain
+    head = (problem.code, problem.k, problem.a, problem.b, float(r0), float(th0), float(al0))
     n, status = _kernels.rk45_trajectory(
-        problem.code,
-        problem.k,
-        problem.a,
-        problem.b,
-        float(r0),
-        float(th0),
-        float(al0),
-        float(t_final),
-        control.rtol,
-        control.atol,
-        control.max_step,
-        lo,
-        hi,
-        control.boundary_pad,
-        out_t,
-        out_y,
+        *head, float(t_final), *_step_args(problem, control), out_t, out_y
     )
     t = out_t[:n].copy()
     states = np.stack(problem.swap(*out_y[:n].T), axis=-1)
@@ -304,8 +295,7 @@ def _sample(problem: ProblemDefinition, r0: float, th0: float, alphas, ts, contr
     kernel status of each lane.
     """
     head = (problem.code, problem.k, problem.a, problem.b, r0, th0)
-    tail = (control.rtol, control.atol, control.max_step, *problem.domain,
-            control.boundary_pad, control.max_steps)
+    tail = (*_step_args(problem, control), MAX_STEPS)
     out = np.full(ts.shape + (3,), np.nan)
     status = []
     for i in range(ts.shape[0]):
@@ -373,7 +363,6 @@ def exponential_map(
     q0: tuple[float, float],
     heading0: float,
     t: float,
-    control: StepControl | None = None,
 ) -> tuple[float, float]:
     """Position reached at time ``t`` from ``q0`` with initial heading ``heading0``.
 
@@ -383,7 +372,7 @@ def exponential_map(
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    x, y = endpoints(problem, q0, (heading0,), (float(t),), control)[0, 0]
+    x, y = endpoints(problem, q0, (heading0,), (float(t),))[0, 0]
     if np.isnan(x):
         raise IntegrationError(f"integration halted before t={t}", "halted")
     return (float(x), float(y))

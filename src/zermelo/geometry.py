@@ -12,6 +12,10 @@ import numpy as np
 
 __all__ = ["polyline_self_intersections", "refine_curve_intersection"]
 
+# crossing polish: residual |eval(u1) - eval(u2)| to reach, and Newton iterations
+REFINE_TOL = 1e-10
+REFINE_MAX_ITER = 40
+
 
 def polyline_self_intersections(
     points: np.ndarray,
@@ -85,8 +89,6 @@ def refine_curve_intersection(
     u1: float,
     u2: float,
     bounds: tuple[float, float],
-    tol: float = 1e-10,
-    max_iter: int = 40,
 ) -> tuple[float, float, tuple[float, float]] | None:
     """Polish a polyline crossing against the true curve ``eval_fn(u) -> (x, y)``.
 
@@ -104,9 +106,9 @@ def refine_curve_intersection(
 
     f = gap(u)
     h = 1e-7 * max(1.0, hi)
-    for _ in range(max_iter):
+    for _ in range(REFINE_MAX_ITER):
         norm = float(np.hypot(*f))
-        if norm <= tol:
+        if norm <= REFINE_TOL:
             p = np.asarray(eval_fn(u[0]), dtype=float)
             return float(u[0]), float(u[1]), (float(p[0]), float(p[1]))
         j1 = (gap([u[0] + h, u[1]]) - f) / h

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,7 +96,18 @@ class ExtendedState:
         return (self.c1, self.c2)
 
 
-_FAMILY_CODES = {"historical": 0, "vortex": 1, "powerlaw": 2}
+class _Family(NamedTuple):
+    code: int  # tag of the family in profile_table and the kernels
+    chart: Chart
+    domain: tuple[float, float]  # open interval of the radius
+    keys: tuple[str, ...]  # the keys a descriptor of the family may carry
+
+
+_FAMILIES = {
+    "historical": _Family(0, Chart.HISTORICAL_CARTESIAN, (-math.inf, math.inf), ("family",)),
+    "vortex": _Family(1, Chart.POLAR, (0.0, math.inf), ("family", "k")),
+    "powerlaw": _Family(2, Chart.POLAR, (0.0, math.inf), ("family", "k", "a", "b")),
+}
 
 
 def profile_table(code, k, a, b, r):
@@ -114,19 +126,35 @@ def profile_table(code, k, a, b, r):
 
 @dataclass(frozen=True)
 class ProblemDefinition:
-    """One family's profiles ``m`` and ``mu``, its parameters and its chart.
+    """One family's profiles ``m`` and ``mu`` and its parameters.
 
+    The family fixes the chart and the open ``domain`` of the radius.
     Immutable after construction; all methods are pure and accept scalars or
     numpy arrays.  :meth:`profile` raises :class:`DomainError` outside the
     open ``domain``; :meth:`swap` maps chart states to canonical ones and back.
     """
 
     family: str
-    chart: Chart
     k: float = 1.0
     a: float = 0.0
     b: float = 0.0
-    domain: tuple[float, float] = (-math.inf, math.inf)
+
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown problem family {self.family!r}")
+
+    @property
+    def code(self) -> int:
+        """Integer family tag consumed by :func:`profile_table` and the kernels."""
+        return _FAMILIES[self.family].code
+
+    @property
+    def chart(self) -> Chart:
+        return _FAMILIES[self.family].chart
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        return _FAMILIES[self.family].domain
 
     # -- profile evaluation -------------------------------------------------
 
@@ -166,11 +194,6 @@ class ProblemDefinition:
     # -- chart conversions --------------------------------------------------
 
     @property
-    def code(self) -> int:
-        """Integer family tag consumed by :func:`profile_table` and the kernels."""
-        return _FAMILY_CODES[self.family]
-
-    @property
     def radius_axis(self) -> int:
         """Index of the radius among the chart's two position coordinates."""
         return 0 if self.chart is Chart.POLAR else 1
@@ -207,20 +230,14 @@ class ProblemDefinition:
 
 def make_historical() -> ProblemDefinition:
     """Flat plane with linear shear current: m == 1, mu(y) = y, states (x, y, gamma)."""
-    return ProblemDefinition(
-        family="historical",
-        chart=Chart.HISTORICAL_CARTESIAN,
-        domain=(-math.inf, math.inf),
-    )
+    return ProblemDefinition("historical")
 
 
 def make_vortex(k: float) -> ProblemDefinition:
     """Point vortex of circulation k > 0 on the punctured plane: m = r, mu = k/r^2."""
     if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0.0):
         raise ValueError(f"circulation k must be a positive finite number, got {k!r}")
-    return ProblemDefinition(
-        family="vortex", chart=Chart.POLAR, k=float(k), domain=(0.0, math.inf)
-    )
+    return ProblemDefinition("vortex", k=float(k))
 
 
 def make_powerlaw(k: float, a: float, b: float) -> ProblemDefinition:
@@ -228,14 +245,7 @@ def make_powerlaw(k: float, a: float, b: float) -> ProblemDefinition:
     for name, value in (("k", k), ("a", a), ("b", b)):
         if not (isinstance(value, (int, float)) and math.isfinite(value)):
             raise ValueError(f"power-law parameter {name} must be finite, got {value!r}")
-    return ProblemDefinition(
-        family="powerlaw",
-        chart=Chart.POLAR,
-        k=float(k),
-        a=float(a),
-        b=float(b),
-        domain=(0.0, math.inf),
-    )
+    return ProblemDefinition("powerlaw", k=float(k), a=float(a), b=float(b))
 
 
 def current_norm(problem: ProblemDefinition, r):
@@ -262,11 +272,9 @@ def problem_from_descriptor(descriptor: dict) -> ProblemDefinition:
     if not isinstance(descriptor, dict):
         raise ValueError("problem descriptor must be a JSON object")
     family = descriptor.get("family")
-    if family not in _FAMILY_CODES:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown problem family {family!r}")
-    allowed = {"historical": {"family"}, "vortex": {"family", "k"},
-               "powerlaw": {"family", "k", "a", "b"}}[family]
-    extra = set(descriptor) - allowed
+    extra = set(descriptor) - set(_FAMILIES[family].keys)
     if extra:
         raise ValueError(f"unexpected descriptor keys for {family}: {sorted(extra)}")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,21 +65,23 @@ __all__ = [
 
 UNREACHABLE = math.inf
 
+SPHERE_TOL = 1e-6  # sphere membership: |t_min - t| <= SPHERE_TOL * (1 + t)
+MAX_NEWTON = 60  # Newton iterations per candidate
+CAPTURE_FACTOR = 3.0  # capture radius of a grid node, in local grid cells
+MAX_CANDIDATES = 200  # candidates polished per target, nearest first
+ABNORMAL_MATCH_TOL = 1e-6  # heading gap to an abnormal that flags "via-abnormal"
+N_FRONT_TIMES = 5  # wavefront times searched for separating points
+LOOP_BISECTIONS = 40  # bisection steps of loop_time_estimate
+
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Grid sizes and tolerances for value-function shooting."""
+    """Grid sizes, horizon and landing tolerance for value-function shooting."""
 
     n_alpha: int = 720
     n_time: int = 600
     t_max: float = 6.0
     position_tol: float = 1e-8
-    sphere_tol: float = 1e-6
-    max_newton: int = 60
-    capture_factor: float = 3.0
-    max_candidates: int = 200
-    abnormal_match_tol: float = 1e-6
-    step_control: StepControl = StepControl()
 
     def __post_init__(self):
         if self.n_alpha < 8 or self.n_time < 8:
@@ -96,19 +98,16 @@ class ShootingGrid:
     alphas: np.ndarray  # (n_alpha,) chart headings
     times: np.ndarray  # (n_time,) ascending from 0
     positions: np.ndarray  # (n_alpha, n_time, 2); nan where integration halted
-    cell: np.ndarray = None  # (n_alpha, n_time) local endpoint spacing
+    cell: np.ndarray = field(init=False)  # (n_alpha, n_time) local endpoint spacing
 
     def __post_init__(self):
-        if self.cell is None:
-            step_a = np.linalg.norm(
-                self.positions - np.roll(self.positions, 1, axis=0), axis=-1
-            )
-            step_t = np.abs(np.diff(self.positions, axis=1)).max(axis=-1)
-            step_t = np.concatenate((step_t, step_t[:, -1:]), axis=1)
-            self.cell = np.fmax(
-                np.where(np.isfinite(step_a), step_a, 0.0),
-                np.where(np.isfinite(step_t), step_t, 0.0),
-            )
+        step_a = np.linalg.norm(self.positions - np.roll(self.positions, 1, axis=0), axis=-1)
+        step_t = np.abs(np.diff(self.positions, axis=1)).max(axis=-1)
+        step_t = np.concatenate((step_t, step_t[:, -1:]), axis=1)
+        self.cell = np.fmax(
+            np.where(np.isfinite(step_a), step_a, 0.0),
+            np.where(np.isfinite(step_t), step_t, 0.0),
+        )
 
 
 @dataclass(frozen=True)
@@ -196,13 +195,13 @@ def build_shooting_grid(
     n = config.n_alpha
     alphas = -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
     times = np.linspace(0.0, config.t_max, config.n_time)
-    positions = endpoints(problem, q0, alphas, times[None, :], config.step_control)
+    positions = endpoints(problem, q0, alphas, times[None, :])
     return ShootingGrid(
         q0=(float(q0[0]), float(q0[1])), alphas=alphas, times=times, positions=positions
     )
 
 
-def _candidate_nodes(grid: ShootingGrid, target, config: ShootingConfig):
+def _candidate_nodes(grid: ShootingGrid, target):
     """Grid nodes that plausibly bracket an arrival at the target."""
     diff = grid.positions - np.asarray(target, dtype=float)
     d = np.hypot(diff[..., 0], diff[..., 1])
@@ -211,18 +210,18 @@ def _candidate_nodes(grid: ShootingGrid, target, config: ShootingConfig):
     local = (d <= np.roll(d, 1, axis=0)) & (d <= np.roll(d, -1, axis=0))
     local[:, 1:] &= d[:, 1:] <= d[:, :-1]
     local[:, :-1] &= d[:, :-1] <= d[:, 1:]
-    mask = local & np.isfinite(d) & (d <= config.capture_factor * np.fmax(grid.cell, 1e-12))
+    mask = local & np.isfinite(d) & (d <= CAPTURE_FACTOR * np.fmax(grid.cell, 1e-12))
     idx = np.argwhere(mask)
     if idx.shape[0] == 0 and np.any(np.isfinite(d)):
         flat = int(np.argmin(d))
         idx = np.array([[flat // d.shape[1], flat % d.shape[1]]])
-    if idx.shape[0] > config.max_candidates:
-        order = np.argsort(d[idx[:, 0], idx[:, 1]])[: config.max_candidates]
+    if idx.shape[0] > MAX_CANDIDATES:
+        order = np.argsort(d[idx[:, 0], idx[:, 1]])[:MAX_CANDIDATES]
         idx = idx[order]
     return idx
 
 
-def _newton_polish(problem: ProblemDefinition, q0, target, a0, t0, config: ShootingConfig):
+def _newton_polish(problem: ProblemDefinition, q0, target, a0, t0, position_tol: float):
     """Damped Newton on the 2-d endpoint map for a batch of candidates.
 
     Returns (headings, times, converged) with times clamped to [0, inf).
@@ -230,7 +229,7 @@ def _newton_polish(problem: ProblemDefinition, q0, target, a0, t0, config: Shoot
     target = np.asarray(target, dtype=float)
 
     def endpoint_batch(headings, times):
-        return endpoints(problem, q0, headings, times[:, None], config.step_control)[:, 0]
+        return endpoints(problem, q0, headings, times[:, None])[:, 0]
 
     al = np.asarray(a0, dtype=float).copy()
     tt = np.asarray(t0, dtype=float).copy()
@@ -238,9 +237,9 @@ def _newton_polish(problem: ProblemDefinition, q0, target, a0, t0, config: Shoot
     f = endpoint_batch(al, tt) - target
     h = 1e-7
     done = np.zeros(n, dtype=bool)
-    for _ in range(config.max_newton):
+    for _ in range(MAX_NEWTON):
         norm = np.hypot(f[:, 0], f[:, 1])
-        done |= norm <= config.position_tol
+        done |= norm <= position_tol
         active = ~done & np.isfinite(norm)
         if not np.any(active):
             break
@@ -273,7 +272,7 @@ def _newton_polish(problem: ProblemDefinition, q0, target, a0, t0, config: Shoot
         stalled = ia[~improved]
         done[stalled] = True  # converged or stuck; final residual decides below
     norm = np.hypot(f[:, 0], f[:, 1])
-    converged = np.isfinite(norm) & (norm <= config.position_tol)
+    converged = np.isfinite(norm) & (norm <= position_tol)
     return al, tt, converged
 
 
@@ -296,11 +295,11 @@ def value_function(
         return ValueSample(tgt, 0.0, None, "interior")
     if grid is None:
         grid = build_shooting_grid(problem, q0, config)
-    idx = _candidate_nodes(grid, tgt, config)
+    idx = _candidate_nodes(grid, tgt)
     if idx.shape[0] == 0:
         return ValueSample(tgt, UNREACHABLE, None, "unreachable")
     al, tt, converged = _newton_polish(
-        problem, grid.q0, tgt, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]], config
+        problem, grid.q0, tgt, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]], config.position_tol
     )
     valid = converged & (tt <= config.t_max + 1e-9)
     if not np.any(valid):
@@ -315,7 +314,7 @@ def value_function(
         heads = ()
     for h_ab in heads:
         gap = abs(float(wrap_angle(heading - h_ab)))
-        if gap <= config.abnormal_match_tol:
+        if gap <= ABNORMAL_MATCH_TOL:
             flag = "via-abnormal"
             break
     return ValueSample(tgt, t_best, heading, flag)
@@ -357,9 +356,7 @@ def wavefront(
     return Wavefront(problem, (x0, y0), float(t), alphas, positions, tags, ok)
 
 
-def _forward_cusp_time(
-    problem: ProblemDefinition, state0: ExtendedState, t_max: float, control: StepControl
-) -> float:
+def _forward_cusp_time(problem: ProblemDefinition, state0: ExtendedState, t_max: float) -> float:
     """Forward cusp time of the abnormal from ``state0``; inf if none.
 
     Analytic for the historical problem, else searched numerically up to ``t_max``.
@@ -367,18 +364,16 @@ def _forward_cusp_time(
     if problem.family == "historical":
         t_c = closedform.cusp_time(state0.heading)
         return t_c if t_c > 0.0 else math.inf
-    cp = cusp_numeric(problem, state0, t_max, control)
+    cp = cusp_numeric(problem, state0, t_max)
     return math.inf if cp is None else cp.t_cusp
 
 
-def _abnormal_arc(
-    problem: ProblemDefinition, q0, heading: float, t: float, control: StepControl
-) -> GeodesicTrajectory:
+def _abnormal_arc(problem: ProblemDefinition, q0, heading: float, t: float) -> GeodesicTrajectory:
     state0 = ExtendedState(q0[0], q0[1], heading)
-    t_arc = min(t, _forward_cusp_time(problem, state0, t, control))
+    t_arc = min(t, _forward_cusp_time(problem, state0, t))
     if problem.family == "historical":
         return closed_form_trajectory(problem, state0, t_arc, n_samples=256)
-    return integrate_numeric(problem, state0, t_arc, control)
+    return integrate_numeric(problem, state0, t_arc)
 
 
 def sphere_and_ball(
@@ -387,49 +382,47 @@ def sphere_and_ball(
     t: float,
     n_alpha: int,
     config: ShootingConfig | None = None,
-    control: StepControl | None = None,
 ) -> SphereAndBall:
     """Time-minimal sphere filter over the wavefront, plus the fan's boundary arcs.
 
     A front point belongs to the sphere when its minimal time equals the
-    front time within ``sphere_tol``.  In the strong-current case the two
-    abnormal arcs (the cusped one truncated at its cusp) complete the ball
-    boundary; in the weak case there are none.
+    front time within ``SPHERE_TOL * (1 + t)``.  In the strong-current case
+    the two abnormal arcs (the cusped one truncated at its cusp) complete the
+    ball boundary; in the weak case there are none.
     """
     config = config or ShootingConfig()
     if config.t_max < 1.5 * t:
         config = dataclasses.replace(config, t_max=1.5 * t)
-    control = control or config.step_control
     try:
         heads = abnormal_headings(problem, problem.radius_of(q0))
     except DomainError:
         heads = ()
-    front = wavefront(problem, q0, t, n_alpha, include_headings=heads, control=control)
+    front = wavefront(problem, q0, t, n_alpha, include_headings=heads)
     grid = build_shooting_grid(problem, q0, config)
     t_min = np.full(front.alpha0.shape[0], UNREACHABLE)
     for i in range(front.alpha0.shape[0]):
         if not front.ok[i]:
             continue
         t_min[i] = value_function(problem, q0, front.positions[i], config, grid).t_min
-    is_sphere = np.abs(t_min - t) <= config.sphere_tol * (1.0 + t)
-    arcs = [_abnormal_arc(problem, q0, h, t, control) for h in heads]
+    is_sphere = np.abs(t_min - t) <= SPHERE_TOL * (1.0 + t)
+    arcs = [_abnormal_arc(problem, q0, h, t) for h in heads]
     return SphereAndBall(front=front, t_min=t_min, is_sphere=is_sphere, abnormal_arcs=arcs)
 
 
 # -- geodesic self-intersections ---------------------------------------------
 
 
-def self_intersections(traj: GeodesicTrajectory, refine: bool = True):
+def self_intersections(traj: GeodesicTrajectory):
     """Transversal self-crossings of a trajectory's position trace.
 
     Returns ``(t1, t2, (c1, c2))`` tuples with ``t1 < t2``.  Polyline
-    crossings are polished against the exact flow unless ``refine`` is
-    false or polishing fails, in which case the polyline estimate stands.
+    crossings are polished against the exact flow; where polishing fails,
+    the polyline estimate stands.
     """
     if len(traj) < 2:
         raise ValueError("trajectory needs at least two samples")
     hits = polyline_self_intersections(traj.positions, traj.t)
-    if not refine or not hits:
+    if not hits:
         return hits
     out = []
     for t1, t2, pos in hits:
@@ -519,21 +512,14 @@ def winding_number(points: np.ndarray, center) -> int:
     return int(round(float(np.sum(d)) / (2.0 * math.pi)))
 
 
-def loop_time_estimate(
-    problem: ProblemDefinition,
-    q0,
-    t_upper: float,
-    n_alpha: int = 180,
-    control: StepControl | None = None,
-    iters: int = 40,
-) -> float:
+def loop_time_estimate(problem: ProblemDefinition, q0, t_upper: float, n_alpha: int = 180) -> float:
     """First time the wavefront encloses the start point (estimate only).
 
     Bisects on the winding number of the front around ``q0``; returns inf
     when the front still fails to enclose the start at ``t_upper``.
     """
     def encloses(t: float) -> bool:
-        front = wavefront(problem, q0, t, n_alpha, control=control)
+        front = wavefront(problem, q0, t, n_alpha)
         if not np.all(front.ok):
             return False
         return winding_number(front.positions, q0) != 0
@@ -541,7 +527,7 @@ def loop_time_estimate(
     if not encloses(t_upper):
         return UNREACHABLE
     lo, hi = 0.0, float(t_upper)
-    for _ in range(iters):
+    for _ in range(LOOP_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -552,10 +538,10 @@ def loop_time_estimate(
     return hi
 
 
-def _default_cut_horizon(problem: ProblemDefinition, q0, heads, control: StepControl) -> float:
+def _default_cut_horizon(problem: ProblemDefinition, q0, heads) -> float:
     """Adapted neighborhood radius: 1.5x the forward cusp time of the cusped arc."""
     states = [ExtendedState(q0[0], q0[1], h) for h in heads]
-    t_cusp = min((_forward_cusp_time(problem, s, 20.0, control) for s in states), default=math.inf)
+    t_cusp = min((_forward_cusp_time(problem, s, 20.0) for s in states), default=math.inf)
     if math.isinf(t_cusp):
         raise ValueError(
             "no forward cusp found to size the adapted neighborhood; pass t_max explicitly"
@@ -569,7 +555,6 @@ def cut_locus_estimate(
     t_max: float | None = None,
     n_alpha: int = 256,
     config: ShootingConfig | None = None,
-    n_front_times: int = 5,
 ) -> CutLocusEstimate:
     """Cut-locus estimate at a strong-current start.
 
@@ -585,17 +570,16 @@ def cut_locus_estimate(
     if float(current_norm(problem, radius)) <= 1.0:
         raise ValueError("cut-locus estimation is only supported at strong-current starts")
     heads = abnormal_headings(problem, radius)
-    control = config.step_control
     if t_max is None:
-        t_max = _default_cut_horizon(problem, q0, heads, control)
+        t_max = _default_cut_horizon(problem, q0, heads)
     if config.t_max < t_max:
         config = dataclasses.replace(config, t_max=float(t_max))
-    arcs = [_abnormal_arc(problem, q0, h, t_max, control) for h in heads]
+    arcs = [_abnormal_arc(problem, q0, h, t_max) for h in heads]
 
     grid = build_shooting_grid(problem, q0, config)
     separating: list[SeparatingPoint] = []
-    for t_k in np.linspace(0.35, 1.0, n_front_times) * t_max:
-        front = wavefront(problem, q0, float(t_k), n_alpha, control=control)
+    for t_k in np.linspace(0.35, 1.0, N_FRONT_TIMES) * t_max:
+        front = wavefront(problem, q0, float(t_k), n_alpha)
         if not np.all(front.ok):
             continue
         pts = np.vstack((front.positions, front.positions[:1]))
@@ -604,7 +588,7 @@ def cut_locus_estimate(
             sample = value_function(problem, q0, pos, config, grid)
             confirmed = (
                 sample.reachable
-                and abs(sample.t_min - t_k) <= config.sphere_tol * (1.0 + t_k) * 100.0
+                and abs(sample.t_min - t_k) <= SPHERE_TOL * (1.0 + t_k) * 100.0
             )
             separating.append(
                 SeparatingPoint(

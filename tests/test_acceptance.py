@@ -29,6 +29,7 @@ from zermelo import (
     build_shooting_grid,
     wavefront,
 )
+from zermelo.reachability import SPHERE_TOL
 
 from conftest import angle_gap
 
@@ -49,7 +50,7 @@ def _cusped_heading(y0: float) -> float:
 
 
 def test_criterion_1_closed_form_fidelity():
-    control = StepControl(rtol=1e-10, atol=1e-10)
+    control = StepControl(1e-10)
     headings = -math.pi + 2.0 * math.pi * np.arange(1, 65) / 64.0  # includes +-pi/2, pi
     worst = 0.0
     for g0 in headings:
@@ -175,12 +176,12 @@ def test_criterion_6_fan_shape():
     t_min = np.array(
         [value_function(HISTORICAL, Q0, pos, config, grid).t_min for pos in front.positions]
     )
-    is_sphere = np.abs(t_min - t) <= config.sphere_tol * (1.0 + t)
+    is_sphere = np.abs(t_min - t) <= SPHERE_TOL * (1.0 + t)
     tags = np.array([tag.value for tag in front.tags])
     only_hyperbolic = bool(np.all(tags[is_sphere] == "hyperbolic"))
     all_hyperbolic_in = bool(np.all(is_sphere[tags == "hyperbolic"]))
     elliptic_gap = float(np.min(t - t_min[tags == "elliptic"]))
-    no_elliptic = elliptic_gap > config.sphere_tol * (1.0 + t)
+    no_elliptic = elliptic_gap > SPHERE_TOL * (1.0 + t)
     ok = worst_coincide <= 1e-9 and only_hyperbolic and all_hyperbolic_in and no_elliptic
     _report(
         6,

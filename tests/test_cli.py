@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+from zermelo import reachability
 from zermelo.cli import main
 
 
@@ -121,6 +122,24 @@ def test_ball_files(tmp_path, capsys):
     assert flags <= {"0", "1"} and "1" in flags
     assert (tmp_path / "ball_arcs.csv").exists()
     assert (tmp_path / "ball.svg").exists()
+
+
+def test_ball_tol_is_the_landing_tolerance(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = reachability.sphere_and_ball
+
+    def spy(problem, q0, t, n_alpha, config):
+        seen.append(config.position_tol)
+        return real(problem, q0, t, n_alpha, config)
+
+    monkeypatch.setattr(reachability, "sphere_and_ball", spy)
+    args = ["ball", "--problem", "historical", "--q0", "0,2", "--t", "0.3", "--n", "8",
+            "--t-max", "1.0", "--out", str(tmp_path)]
+    code, _, _ = run_cli(args + ["--tol", "1e-9"], capsys)
+    assert code == 0 and seen == [1e-9]
+    code, _, err = run_cli(args + ["--tol", "0"], capsys)
+    assert code == 2 and "position_tol" in err
+    assert seen == [1e-9]
 
 
 def test_value_scan_files(tmp_path, capsys):

@@ -98,7 +98,7 @@ NEAR_VERTICAL = [
 def test_closed_form_accurate_near_vertical(historical, y0):
     # steep headings make u0 = tan(gamma_0) huge; the closed form must not
     # lose digits to cancellation between terms of size u0^2
-    control = StepControl(rtol=1e-13, atol=1e-13)
+    control = StepControl(1e-13)
     for g0 in NEAR_VERTICAL:
         state0 = ExtendedState(0.3, y0, g0)
         traj = integrate_numeric(historical, state0, 2.5, control)
@@ -212,7 +212,6 @@ def test_reflection_symmetry(historical):
 
 def test_adjoint_values(historical):
     adj = make_adjoint(historical, ExtendedState(0.0, 2.0, -2.0 * math.pi / 3.0))
-    assert adj.lambda0 == 1.0
     assert math.isclose(adj.p_theta, math.cos(-2.0 * math.pi / 3.0), abs_tol=1e-15)
     assert abs(adj.p_zero) < 1e-15  # cost multiplier vanishes on the abnormal
     adj = make_adjoint(historical, ExtendedState(0.0, 0.5, 0.2))
@@ -283,4 +282,4 @@ def test_endpoint_map_grid_and_paired_calls_agree(problem, q0):
 
 def test_step_control_validation():
     with pytest.raises(ValueError):
-        StepControl(rtol=0.0)
+        StepControl(0.0)

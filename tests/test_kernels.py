@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zermelo import _kernels
-from zermelo.flow import StepControl
+from zermelo.flow import BOUNDARY_PAD, MAX_STEP, MAX_STEPS, StepControl
 
 _PROBE = """
 import json, math, sys
@@ -76,18 +76,18 @@ def test_at_times_matches_trajectory_endpoint():
     out = np.full((3, 3), np.nan)
     filled, status = _kernels.rk45_at_times(
         0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.9, ts,
-        control.rtol, control.atol, control.max_step,
-        -math.inf, math.inf, control.boundary_pad, control.max_steps, out,
+        control.tol, control.tol, MAX_STEP,
+        -math.inf, math.inf, BOUNDARY_PAD, MAX_STEPS, out,
     )
     assert filled == 3 and status == _kernels.STATUS_OK
     assert np.allclose(out[0], (2.0, 0.0, 0.9))
-    n_max = control.max_steps + 1
+    n_max = MAX_STEPS + 1
     out_t = np.empty(n_max)
     out_y = np.empty((n_max, 3))
     n, status2 = _kernels.rk45_trajectory(
         0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.9, 1.0,
-        control.rtol, control.atol, control.max_step,
-        -math.inf, math.inf, control.boundary_pad, out_t, out_y,
+        control.tol, control.tol, MAX_STEP,
+        -math.inf, math.inf, BOUNDARY_PAD, out_t, out_y,
     )
     assert status2 == _kernels.STATUS_OK
     assert np.allclose(out[2], out_y[n - 1], atol=1e-10)
@@ -106,13 +106,13 @@ def test_max_steps_status():
 
 def test_domain_exit_status():
     control = StepControl()
-    n_max = control.max_steps + 1
+    n_max = MAX_STEPS + 1
     out_t = np.empty(n_max)
     out_y = np.empty((n_max, 3))
     n, status = _kernels.rk45_trajectory(
         1, 1.0, 0.0, 0.0, 0.2, 0.0, math.pi, 0.5,
-        control.rtol, control.atol, control.max_step,
-        0.0, math.inf, control.boundary_pad, out_t, out_y,
+        control.tol, control.tol, MAX_STEP,
+        0.0, math.inf, BOUNDARY_PAD, out_t, out_y,
     )
     assert status == _kernels.STATUS_DOMAIN_EXIT
-    assert out_y[n - 1, 0] <= control.boundary_pad
+    assert out_y[n - 1, 0] <= BOUNDARY_PAD

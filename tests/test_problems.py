@@ -8,6 +8,7 @@ from zermelo import (
     Chart,
     DomainError,
     ExtendedState,
+    ProblemDefinition,
     current_norm,
     make_historical,
     make_powerlaw,
@@ -31,6 +32,19 @@ def test_vortex_profiles(vortex):
     assert vortex.profile(1.0)[3] == -2.0
     assert vortex.profile(17.0)[1] == 1.0
     assert vortex.chart is Chart.POLAR
+
+
+def test_family_fixes_code_chart_and_domain():
+    cases = (
+        (make_historical(), 0, Chart.HISTORICAL_CARTESIAN, (-math.inf, math.inf)),
+        (make_vortex(2.0), 1, Chart.POLAR, (0.0, math.inf)),
+        (make_powerlaw(1.0, -3.0, 1.0), 2, Chart.POLAR, (0.0, math.inf)),
+    )
+    for problem, code, chart, domain in cases:
+        assert (problem.code, problem.chart, problem.domain) == (code, chart, domain)
+    assert ProblemDefinition("vortex", k=2.0) == make_vortex(2.0)
+    with pytest.raises(ValueError, match="unknown problem family"):
+        ProblemDefinition("nope")
 
 
 def test_vortex_rejects_bad_circulation():

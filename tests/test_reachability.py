@@ -162,7 +162,7 @@ def test_value_unreachable_marker(historical):
 
 
 def test_value_via_abnormal_flag(historical):
-    config = ShootingConfig(t_max=2.0, position_tol=1e-12, abnormal_match_tol=1e-4)
+    config = ShootingConfig(t_max=2.0, position_tol=1e-12)
     grid = build_shooting_grid(historical, Q0_STRONG, config)
     sample = value_function(historical, Q0_STRONG, abnormal_point(0.6), config, grid)
     assert sample.flag == "via-abnormal"
@@ -367,7 +367,7 @@ def test_cut_locus_default_horizon_is_adapted_neighborhood(historical):
     # with no horizon given, arcs run to 1.5x the forward cusp time
     t_cusp = cusp_historical(ExtendedState(0.0, 2.0, CUSPED_HEADING)).t_cusp
     estimate = cut_locus_estimate(
-        historical, Q0_STRONG, n_alpha=96, config=ShootingConfig(t_max=3.0), n_front_times=2
+        historical, Q0_STRONG, n_alpha=96, config=ShootingConfig(t_max=3.0)
     )
     assert math.isclose(max(arc.t_end for arc in estimate.arcs), 1.5 * t_cusp, rel_tol=1e-12)
 
