@@ -12,6 +12,13 @@ Newton iteration on the 2-d endpoint map polishes each candidate until it
 lands within ``position_tol`` of the target.  The minimal polished arrival
 time over all candidates is reported; a scan that finds nothing up to
 ``t_max`` yields an unreachable marker, which is a value, not an error.
+
+The grid indexes its nodes once in a uniform-grid spatial hash with one
+level per power of two of the nodes' capture radius (Teschner et al.,
+"Optimized Spatial Hashing for Collision Detection of Deformable Objects",
+VMV 2003), so a target's candidates come from a few bins rather than a scan
+of every node.  Spheres, scans and cut-locus fronts look up all their
+targets and polish every candidate of every target in one Newton batch.
 """
 
 from __future__ import annotations
@@ -72,6 +79,10 @@ MAX_CANDIDATES = 200  # candidates polished per target, nearest first
 ABNORMAL_MATCH_TOL = 1e-6  # heading gap to an abnormal that flags "via-abnormal"
 N_FRONT_TIMES = 5  # wavefront times searched for separating points
 LOOP_BISECTIONS = 40  # bisection steps of loop_time_estimate
+LINE_SEARCH_STEPS = 20  # step halvings per Newton iteration
+HASH_BIN_BITS = 13  # bits of each bin coordinate in a hash key; sets the smallest bin
+HASH_NODE_BITS = 31  # bits of the node id at the bottom of a hash key
+HASH_CHUNK = 1 << 16  # nodes per chunk while the hash keys are built
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,85 @@ class ShootingConfig:
             raise ValueError("t_max and position_tol must be positive")
 
 
+def _local_cell(positions: np.ndarray) -> np.ndarray:
+    """Per node, the larger endpoint step to the previous heading or the next time.
+
+    Steps that touch a nan node count as 0.
+    """
+    step_a = np.linalg.norm(positions - np.roll(positions, 1, axis=0), axis=-1)
+    step_t = np.abs(np.diff(positions, axis=1)).max(axis=-1)
+    step_t = np.concatenate((step_t, step_t[:, -1:]), axis=1)
+    return np.fmax(
+        np.where(np.isfinite(step_a), step_a, 0.0),
+        np.where(np.isfinite(step_t), step_t, 0.0),
+    )
+
+
+@dataclass(frozen=True)
+class _RadiusHash:
+    """Uniform-grid spatial hash of grid nodes, one level per radius class.
+
+    A node of capture radius rho sits in class c, the ``frexp`` exponent of
+    rho, so rho < 2**c; in bins of size 2**c every point within rho of the
+    node lies in the node's bin or one of its eight neighbours.  Radii are
+    floored at the grid extent * 2**(1 - HASH_BIN_BITS) before the class is
+    taken, which keeps bin coordinates below 2**HASH_BIN_BITS.  Each node is
+    one int64 key, (level, bin x, bin y, node id) from the high bits down;
+    sorted, the keys list every bin's nodes together.
+    """
+
+    levels: np.ndarray  # (n_class,) key prefix of each class
+    sizes: np.ndarray  # (n_class,) bin size 2**c of each class
+    origin: np.ndarray  # (n_class, 2) bin of the finite nodes' lower-left corner
+    keys: np.ndarray  # (n_node,) sorted packed keys
+
+    @staticmethod
+    def _bin_key(level, bins) -> np.ndarray:
+        key = (level << HASH_BIN_BITS | bins[..., 0]) << HASH_BIN_BITS | bins[..., 1]
+        return key << HASH_NODE_BITS
+
+    @classmethod
+    def build(cls, grid: ShootingGrid) -> _RadiusHash:
+        """Hash the grid's finite nodes by position and capture radius, in chunks."""
+        flat = grid.positions.reshape(-1, 2)
+        ids = np.nonzero(np.isfinite(flat[:, 0]) & np.isfinite(flat[:, 1]))[0]
+        if ids.shape[0] == 0:
+            return cls(ids, np.ones(0), np.zeros((0, 2)), ids)
+        lo = np.array([flat[ids, 0].min(), flat[ids, 1].min()])
+        extent = max(flat[ids, 0].max() - lo[0], flat[ids, 1].max() - lo[1])
+        floor = math.ldexp(extent if extent > 0.0 else 1.0, 1 - HASH_BIN_BITS)
+        first = math.frexp(floor)[1]  # class of the floor, the smallest one
+        keys = np.empty(ids.shape[0], dtype=np.int64)
+        bottom, top = math.inf, 0
+        for start in range(0, ids.shape[0], HASH_CHUNK):
+            part = ids[start : start + HASH_CHUNK]
+            exps = np.frexp(np.fmax(grid.capture_radius(part), floor))[1]
+            size = np.ldexp(1.0, exps)[:, None]
+            bins = np.floor(flat[part] / size) - np.floor(lo / size)
+            level = exps.astype(np.int64) - first
+            keys[start : start + HASH_CHUNK] = cls._bin_key(level, bins.astype(np.int64)) | part
+            bottom, top = min(bottom, int(level.min())), max(top, int(level.max()))
+        keys.sort()
+        levels = np.arange(bottom, top + 1)
+        sizes = np.ldexp(1.0, first + levels)
+        return cls(levels, sizes, np.floor(lo / sizes[:, None]), keys)
+
+    def near(self, x: float, y: float) -> np.ndarray:
+        """Ids of the nodes in the 3x3 bins around ``(x, y)`` of every class."""
+        step = np.arange(-1.0, 2.0)
+        bins = np.floor(np.array([x, y]) / self.sizes[:, None]) - self.origin
+        qx = bins[:, 0, None, None] + step[:, None]  # (n_class, 3, 1)
+        qy = bins[:, 1, None, None] + step  # (n_class, 1, 3)
+        qx, qy = np.broadcast_arrays(qx, qy)
+        level = np.broadcast_to(self.levels[:, None, None], qx.shape)
+        ok = (np.fmin(qx, qy) >= 0.0) & (np.fmax(qx, qy) < 2.0**HASH_BIN_BITS)
+        query = self._bin_key(level[ok], np.stack((qx[ok], qy[ok]), axis=-1).astype(np.int64))
+        lo, hi = np.searchsorted(self.keys, np.stack((query, query + (1 << HASH_NODE_BITS))))
+        counts = hi - lo
+        shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return self.keys[np.arange(shift.shape[0]) + shift] & ((1 << HASH_NODE_BITS) - 1)
+
+
 @dataclass
 class ShootingGrid:
     """Precomputed endpoint grid, reusable across targets from the same start."""
@@ -99,15 +189,15 @@ class ShootingGrid:
     times: np.ndarray  # (n_time,) ascending from 0
     positions: np.ndarray  # (n_alpha, n_time, 2); nan where integration halted
     cell: np.ndarray = field(init=False)  # (n_alpha, n_time) local endpoint spacing
+    index: _RadiusHash = field(init=False, repr=False)  # nodes by capture radius
 
     def __post_init__(self):
-        step_a = np.linalg.norm(self.positions - np.roll(self.positions, 1, axis=0), axis=-1)
-        step_t = np.abs(np.diff(self.positions, axis=1)).max(axis=-1)
-        step_t = np.concatenate((step_t, step_t[:, -1:]), axis=1)
-        self.cell = np.fmax(
-            np.where(np.isfinite(step_a), step_a, 0.0),
-            np.where(np.isfinite(step_t), step_t, 0.0),
-        )
+        self.cell = _local_cell(self.positions)
+        self.index = _RadiusHash.build(self)
+
+    def capture_radius(self, nodes) -> np.ndarray:
+        """Largest target distance at which the flat ``nodes`` count as candidates."""
+        return CAPTURE_FACTOR * np.fmax(self.cell.reshape(-1)[nodes], 1e-12)
 
 
 @dataclass(frozen=True)
@@ -118,6 +208,8 @@ class ValueSample:
     t_min: float  # inf marks an unreachable target within the scan horizon
     heading0: float | None
     flag: str  # "interior" | "via-abnormal" | "unreachable"
+    n_candidates: int = 0  # Newton lanes polished for this target
+    residual: float = math.inf  # landing error of the achieving lane; inf if none landed
 
     @property
     def reachable(self) -> bool:
@@ -202,78 +294,149 @@ def build_shooting_grid(
 
 
 def _candidate_nodes(grid: ShootingGrid, target):
-    """Grid nodes that plausibly bracket an arrival at the target."""
-    diff = grid.positions - np.asarray(target, dtype=float)
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    d = np.where(np.isfinite(d), d, np.inf)
+    """Grid nodes that plausibly bracket an arrival at the target.
 
-    local = (d <= np.roll(d, 1, axis=0)) & (d <= np.roll(d, -1, axis=0))
-    local[:, 1:] &= d[:, 1:] <= d[:, :-1]
-    local[:, :-1] &= d[:, :-1] <= d[:, 1:]
-    mask = local & np.isfinite(d) & (d <= CAPTURE_FACTOR * np.fmax(grid.cell, 1e-12))
-    idx = np.argwhere(mask)
-    if idx.shape[0] == 0 and np.any(np.isfinite(d)):
-        flat = int(np.argmin(d))
-        idx = np.array([[flat // d.shape[1], flat % d.shape[1]]])
-    if idx.shape[0] > MAX_CANDIDATES:
-        order = np.argsort(d[idx[:, 0], idx[:, 1]])[:MAX_CANDIDATES]
-        idx = idx[order]
-    return idx
-
-
-def _newton_polish(problem: ProblemDefinition, q0, target, a0, t0, position_tol: float):
-    """Damped Newton on the 2-d endpoint map for a batch of candidates.
-
-    Returns (headings, times, converged) with times clamped to [0, inf).
+    A candidate lies within its capture radius of the target, and none of
+    its heading neighbours (which wrap) or time neighbours (which do not) is
+    closer.  Rows ``(i_heading, i_time)`` come in row-major order, cut to
+    the ``MAX_CANDIDATES`` nearest; with no candidate, the nearest finite node.
     """
-    target = np.asarray(target, dtype=float)
+    tx, ty = float(target[0]), float(target[1])
+    n_alpha, n_time = grid.cell.shape
+    flat = grid.positions.reshape(-1, 2)
+
+    def distance(nodes):
+        d = np.hypot(flat[nodes, 0] - tx, flat[nodes, 1] - ty)
+        return np.where(np.isfinite(d), d, np.inf)
+
+    nodes = grid.index.near(tx, ty)
+    d = distance(nodes)
+    near = d <= grid.capture_radius(nodes)
+    nodes, d = nodes[near], d[near]
+    row, col = np.divmod(nodes, n_time)
+    neighbours = np.concatenate((
+        (row + 1) % n_alpha * n_time + col,
+        (row - 1) % n_alpha * n_time + col,
+        nodes - (col > 0),  # a node at the first or last time meets itself
+        nodes + (col < n_time - 1),
+    ))
+    local = np.all(d <= distance(neighbours).reshape(4, -1), axis=0)
+    order = np.argsort(nodes[local])
+    nodes, d = nodes[local][order], d[local][order]
+    if nodes.shape[0] == 0:
+        d = distance(slice(None))
+        if np.any(np.isfinite(d)):
+            nodes = np.array([int(np.argmin(d))])
+    elif nodes.shape[0] > MAX_CANDIDATES:
+        nodes = nodes[np.argsort(d)[:MAX_CANDIDATES]]
+    return np.stack(np.divmod(nodes, n_time), axis=-1)
+
+
+def _newton_polish(problem: ProblemDefinition, q0, targets, a0, t0, position_tol: float):
+    """Damped Newton on the 2-d endpoint map, one target per lane.
+
+    Lane ``i`` starts at ``(a0[i], t0[i])`` and aims at ``targets[i]``.  Each
+    lane keeps its own stopping state and step length, so its result does
+    not depend on the other lanes of the batch.  Returns (headings, times,
+    residuals): times clamped to [0, inf), residuals the final landing errors.
+    """
+    targets = np.asarray(targets, dtype=float)
 
     def endpoint_batch(headings, times):
         return endpoints(problem, q0, headings, times[:, None])[:, 0]
 
     al = np.asarray(a0, dtype=float).copy()
     tt = np.asarray(t0, dtype=float).copy()
-    n = al.shape[0]
-    f = endpoint_batch(al, tt) - target
+    f = endpoint_batch(al, tt) - targets
     h = 1e-7
-    done = np.zeros(n, dtype=bool)
+    done = np.zeros(al.shape[0], dtype=bool)
     for _ in range(MAX_NEWTON):
         norm = np.hypot(f[:, 0], f[:, 1])
         done |= norm <= position_tol
-        active = ~done & np.isfinite(norm)
-        if not np.any(active):
+        ia = np.nonzero(~done & np.isfinite(norm))[0]
+        if ia.shape[0] == 0:
             break
-        ia = np.nonzero(active)[0]
-        fa = f[ia]
-        ja = (endpoint_batch(al[ia] + h, tt[ia]) - target - fa) / h
-        jt = (endpoint_batch(al[ia], tt[ia] + h) - target - fa) / h
+        fa, ta = f[ia], targets[ia]
+        ja = (endpoint_batch(al[ia] + h, tt[ia]) - ta - fa) / h
+        jt = (endpoint_batch(al[ia], tt[ia] + h) - ta - fa) / h
         det = ja[:, 0] * jt[:, 1] - ja[:, 1] * jt[:, 0]
         ok = np.abs(det) > 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             da = np.where(ok, (-fa[:, 0] * jt[:, 1] + fa[:, 1] * jt[:, 0]) / det, 0.0)
             dt = np.where(ok, (-ja[:, 0] * fa[:, 1] + ja[:, 1] * fa[:, 0]) / det, 0.0)
-        lam = np.ones(ia.shape[0])
-        improved = np.zeros(ia.shape[0], dtype=bool)
-        for _ in range(20):
+        lam = 1.0  # shared by the lanes still waiting for a step that lowers their residual
+        for _ in range(LINE_SEARCH_STEPS):
             trial_al = al[ia] + lam * da
             trial_tt = np.maximum(tt[ia] + lam * dt, 0.0)
-            f_trial = endpoint_batch(trial_al, trial_tt) - target
-            trial_norm = np.hypot(f_trial[:, 0], f_trial[:, 1])
-            better = ~improved & (trial_norm < norm[ia])
-            if np.any(better):
-                sel = ia[better]
-                al[sel] = trial_al[better]
-                tt[sel] = trial_tt[better]
-                f[sel] = f_trial[better]
-                improved |= better
-            if np.all(improved):
+            f_trial = endpoint_batch(trial_al, trial_tt) - targets[ia]
+            better = np.hypot(f_trial[:, 0], f_trial[:, 1]) < norm[ia]
+            sel = ia[better]
+            al[sel], tt[sel], f[sel] = trial_al[better], trial_tt[better], f_trial[better]
+            ia, da, dt = ia[~better], da[~better], dt[~better]
+            if ia.shape[0] == 0:
                 break
-            lam = np.where(improved, lam, lam * 0.5)
-        stalled = ia[~improved]
-        done[stalled] = True  # converged or stuck; final residual decides below
-    norm = np.hypot(f[:, 0], f[:, 1])
-    converged = np.isfinite(norm) & (norm <= position_tol)
-    return al, tt, converged
+            lam *= 0.5
+        done[ia] = True  # converged or stuck; final residual decides below
+    return al, tt, np.hypot(f[:, 0], f[:, 1])
+
+
+def _value_samples(
+    problem: ProblemDefinition,
+    q0,
+    targets,
+    config: ShootingConfig | None = None,
+    grid: ShootingGrid | None = None,
+) -> list[ValueSample]:
+    """:func:`value_function` at every target, with one Newton batch for all of them."""
+    config = config or ShootingConfig()
+    q0 = (float(q0[0]), float(q0[1]))
+    if grid is not None and grid.q0 != q0:
+        raise ValueError(f"shooting grid starts at {grid.q0}, not at q0 = {q0}")
+    samples: list[ValueSample | None] = []
+    shots = []  # (sample slot, target, candidate nodes) of the targets that need Newton
+    for target in targets:
+        tgt = (float(target[0]), float(target[1]))
+        problem.check_domain(problem.radius_of(tgt))
+        gap = math.hypot(tgt[0] - q0[0], tgt[1] - q0[1])
+        if gap <= config.position_tol:
+            samples.append(ValueSample(tgt, 0.0, None, "interior", 0, gap))
+            continue
+        if grid is None:
+            grid = build_shooting_grid(problem, q0, config)
+        idx = _candidate_nodes(grid, tgt)
+        if idx.shape[0] == 0:
+            samples.append(ValueSample(tgt, UNREACHABLE, None, "unreachable"))
+            continue
+        shots.append((len(samples), tgt, idx))
+        samples.append(None)
+    if not shots:
+        return samples
+
+    idx = np.concatenate([nodes for _, _, nodes in shots])
+    counts = [nodes.shape[0] for _, _, nodes in shots]
+    lane_targets = np.repeat([tgt for _, tgt, _ in shots], counts, axis=0)
+    al, tt, residual = _newton_polish(
+        problem, q0, lane_targets, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]],
+        config.position_tol,
+    )
+    try:
+        heads = abnormal_headings(problem, problem.radius_of(q0))
+    except DomainError:
+        heads = ()
+    lanes = np.split(np.arange(idx.shape[0]), np.cumsum(counts)[:-1])
+    for (slot, tgt, _), lane in zip(shots, lanes):
+        valid = (residual[lane] <= config.position_tol) & (tt[lane] <= config.t_max + 1e-9)
+        if not np.any(valid):
+            samples[slot] = ValueSample(tgt, UNREACHABLE, None, "unreachable", lane.shape[0])
+            continue
+        best = lane[np.nonzero(valid)[0][np.argmin(tt[lane][valid])]]
+        heading = float(wrap_angle(al[best]))
+        via = any(abs(float(wrap_angle(heading - h))) <= ABNORMAL_MATCH_TOL for h in heads)
+        samples[slot] = ValueSample(
+            tgt, float(tt[best]), heading, "via-abnormal" if via else "interior",
+            lane.shape[0], float(residual[best]),
+        )
+    return samples
 
 
 def value_function(
@@ -286,38 +449,10 @@ def value_function(
     """Minimal transfer time from ``q0`` to ``target`` by two-stage shooting.
 
     Pass a prebuilt :class:`ShootingGrid` when evaluating many targets from
-    the same start; the grid depends only on ``(problem, q0, config)``.
+    the same start; the grid depends only on ``(problem, q0, config)``, and
+    one built from another start raises ``ValueError``.
     """
-    config = config or ShootingConfig()
-    tgt = (float(target[0]), float(target[1]))
-    problem.check_domain(problem.radius_of(tgt))
-    if math.hypot(tgt[0] - q0[0], tgt[1] - q0[1]) <= config.position_tol:
-        return ValueSample(tgt, 0.0, None, "interior")
-    if grid is None:
-        grid = build_shooting_grid(problem, q0, config)
-    idx = _candidate_nodes(grid, tgt)
-    if idx.shape[0] == 0:
-        return ValueSample(tgt, UNREACHABLE, None, "unreachable")
-    al, tt, converged = _newton_polish(
-        problem, grid.q0, tgt, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]], config.position_tol
-    )
-    valid = converged & (tt <= config.t_max + 1e-9)
-    if not np.any(valid):
-        return ValueSample(tgt, UNREACHABLE, None, "unreachable")
-    best = int(np.nonzero(valid)[0][np.argmin(tt[valid])])
-    t_best = float(tt[best])
-    heading = float(wrap_angle(al[best]))
-    flag = "interior"
-    try:
-        heads = abnormal_headings(problem, problem.radius_of(grid.q0))
-    except DomainError:
-        heads = ()
-    for h_ab in heads:
-        gap = abs(float(wrap_angle(heading - h_ab)))
-        if gap <= ABNORMAL_MATCH_TOL:
-            flag = "via-abnormal"
-            break
-    return ValueSample(tgt, t_best, heading, flag)
+    return _value_samples(problem, q0, [target], config, grid)[0]
 
 
 # -- wavefronts, spheres and balls -------------------------------------------
@@ -400,10 +535,8 @@ def sphere_and_ball(
     front = wavefront(problem, q0, t, n_alpha, include_headings=heads)
     grid = build_shooting_grid(problem, q0, config)
     t_min = np.full(front.alpha0.shape[0], UNREACHABLE)
-    for i in range(front.alpha0.shape[0]):
-        if not front.ok[i]:
-            continue
-        t_min[i] = value_function(problem, q0, front.positions[i], config, grid).t_min
+    samples = _value_samples(problem, q0, front.positions[front.ok], config, grid)
+    t_min[front.ok] = [sample.t_min for sample in samples]
     is_sphere = np.abs(t_min - t) <= SPHERE_TOL * (1.0 + t)
     arcs = [_abnormal_arc(problem, q0, h, t) for h in heads]
     return SphereAndBall(front=front, t_min=t_min, is_sphere=is_sphere, abnormal_arcs=arcs)
@@ -464,7 +597,7 @@ def discontinuity_scan(
         points = a[None, :] + frac[:, None] * (b - a)[None, :]
         s = frac * length
     grid = build_shooting_grid(problem, q0, config)
-    samples = [value_function(problem, q0, pt, config, grid) for pt in points]
+    samples = _value_samples(problem, q0, points, config, grid)
     t_vals = np.array([smp.t_min for smp in samples])
 
     jumps: list[JumpReport] = []
@@ -584,8 +717,9 @@ def cut_locus_estimate(
             continue
         pts = np.vstack((front.positions, front.positions[:1]))
         par = np.concatenate((front.alpha0, front.alpha0[:1] + 2.0 * math.pi))
-        for a1, a2, pos in polyline_self_intersections(pts, par):
-            sample = value_function(problem, q0, pos, config, grid)
+        crossings = polyline_self_intersections(pts, par)
+        samples = _value_samples(problem, q0, [pos for _, _, pos in crossings], config, grid)
+        for (a1, a2, pos), sample in zip(crossings, samples):
             confirmed = (
                 sample.reachable
                 and abs(sample.t_min - t_k) <= SPHERE_TOL * (1.0 + t_k) * 100.0

@@ -23,8 +23,9 @@ from zermelo import (
     value_function,
     wavefront,
 )
+from zermelo import make_powerlaw, reachability
 from zermelo.closedform import historical_positions
-from zermelo.reachability import winding_number
+from zermelo.reachability import MAX_NEWTON, _candidate_nodes, _value_samples, winding_number
 
 Q0_STRONG = (0.0, 2.0)
 Q0_WEAK = (0.0, 0.5)
@@ -177,6 +178,143 @@ def test_wavefront_upper_bounds_value(historical):
     for pos in front.positions[::4]:
         sample = value_function(historical, Q0_STRONG, pos, config, grid)
         assert sample.t_min <= t + 1e-6
+
+
+def test_value_function_rejects_grid_from_other_start(historical):
+    config = ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)
+    grid = build_shooting_grid(historical, Q0_WEAK, config)
+    with pytest.raises(ValueError, match="grid starts at"):
+        value_function(historical, Q0_STRONG, (0.3, 2.0), config, grid)
+    assert value_function(historical, Q0_WEAK, (0.3, 0.5), config, grid).reachable
+
+
+def test_value_sample_reports_candidates_and_residual(historical):
+    config = ShootingConfig(t_max=3.0)
+    grid = build_shooting_grid(historical, Q0_STRONG, config)
+    target = exponential_map(historical, Q0_STRONG, 0.3, 0.7)
+    sample = value_function(historical, Q0_STRONG, target, config, grid)
+    assert sample.n_candidates == _candidate_nodes(grid, target).shape[0] >= 1
+    landed = exponential_map(historical, Q0_STRONG, sample.heading0, sample.t_min)
+    assert sample.residual <= config.position_tol
+    assert math.isclose(
+        math.hypot(landed[0] - target[0], landed[1] - target[1]), sample.residual,
+        rel_tol=1e-6, abs_tol=1e-15,
+    )
+    start = value_function(historical, Q0_STRONG, Q0_STRONG, config, grid)
+    assert (start.n_candidates, start.residual) == (0, 0.0)
+    lost = value_function(historical, Q0_STRONG, (-40.0, 2.0), config, grid)
+    assert not lost.reachable and lost.residual == math.inf
+    assert lost.n_candidates == _candidate_nodes(grid, (-40.0, 2.0)).shape[0]
+
+
+def _full_scan_candidates(grid, target):
+    """Candidate search over every grid node: the oracle of the hashed search."""
+    diff = grid.positions - np.asarray(target, dtype=float)
+    d = np.hypot(diff[..., 0], diff[..., 1])
+    d = np.where(np.isfinite(d), d, np.inf)
+
+    local = (d <= np.roll(d, 1, axis=0)) & (d <= np.roll(d, -1, axis=0))
+    local[:, 1:] &= d[:, 1:] <= d[:, :-1]
+    local[:, :-1] &= d[:, :-1] <= d[:, 1:]
+    capture = reachability.CAPTURE_FACTOR * np.fmax(grid.cell, 1e-12)
+    mask = local & np.isfinite(d) & (d <= capture)
+    idx = np.argwhere(mask)
+    if idx.shape[0] == 0 and np.any(np.isfinite(d)):
+        flat = int(np.argmin(d))
+        idx = np.array([[flat // d.shape[1], flat % d.shape[1]]])
+    if idx.shape[0] > reachability.MAX_CANDIDATES:
+        order = np.argsort(d[idx[:, 0], idx[:, 1]])[: reachability.MAX_CANDIDATES]
+        idx = idx[order]
+    return idx
+
+
+@pytest.mark.parametrize(
+    "family, q0, config",
+    [
+        ("historical", Q0_STRONG, ShootingConfig()),
+        ("historical", Q0_WEAK, ShootingConfig()),
+        ("vortex", (0.15, 0.0), ShootingConfig(t_max=0.4, n_alpha=64, n_time=64)),
+        ("powerlaw", (0.5, 0.0), ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)),
+    ],
+)
+def test_candidate_index_matches_full_scan(historical, vortex, family, q0, config):
+    problem = {
+        "historical": historical, "vortex": vortex, "powerlaw": make_powerlaw(1.0, -3.0, 1.0)
+    }[family]
+    grid = build_shooting_grid(problem, q0, config)
+    finite = np.isfinite(grid.positions[..., 0])
+    if family != "historical":
+        assert not finite.all()  # domain exits leave nan nodes
+    rng = np.random.default_rng(17)
+    nodes = grid.positions[finite]
+    # near nodes, at a few local cells; anywhere in the grid's box; far outside it
+    spread = np.median(grid.cell) * rng.uniform(0.0, 4.0, (60, 1))
+    near = nodes[rng.integers(0, nodes.shape[0], 60)] + rng.normal(size=(60, 2)) * spread
+    box = rng.uniform(nodes.min(axis=0), nodes.max(axis=0), (20, 2))
+    far = np.array([[1e6, -1e6], [1e300, 0.0], [-1e-300, 5e200]])
+    sizes = []
+    for target in np.vstack((near, box, far)):
+        expected = _full_scan_candidates(grid, target)
+        found = _candidate_nodes(grid, target)
+        assert found.dtype == expected.dtype
+        np.testing.assert_array_equal(found, expected)
+        sizes.append(found.shape[0])
+    assert max(sizes) > 1
+    assert sizes[-3:] == [1, 1, 1]  # the nearest-node fallback
+
+
+def test_value_samples_batch_equals_singles(historical, vortex):
+    config = ShootingConfig(t_max=3.0)
+    grid = build_shooting_grid(historical, Q0_STRONG, config)
+    targets = [
+        abnormal_point(0.4),
+        Q0_STRONG,
+        (-40.0, 2.0),
+        exponential_map(historical, Q0_STRONG, 0.3, 0.7),
+        abnormal_point(1.0),
+        exponential_map(historical, Q0_STRONG, -1.0, 0.5),
+    ]
+    batch = _value_samples(historical, Q0_STRONG, targets, config, grid)
+    singles = [value_function(historical, Q0_STRONG, tgt, config, grid) for tgt in targets]
+    assert batch == singles
+    assert [s.flag for s in batch].count("unreachable") == 1
+    assert batch[1].t_min == 0.0
+
+    q0 = (0.5, 0.0)
+    config = ShootingConfig(t_max=0.5, n_alpha=96, n_time=64)
+    grid = build_shooting_grid(vortex, q0, config)
+    heads = abnormal_headings(vortex, q0[0])
+    targets = [
+        exponential_map(vortex, q0, heads[0], 0.2),
+        (3.0, 0.0),
+        q0,
+        exponential_map(vortex, q0, 0.9, 0.3),
+        exponential_map(vortex, q0, heads[1], 0.1),
+    ]
+    batch = _value_samples(vortex, q0, targets, config, grid)
+    assert batch == [value_function(vortex, q0, tgt, config, grid) for tgt in targets]
+    assert [s.reachable for s in batch] == [True, False, True, True, True]
+
+
+@pytest.mark.parametrize("n_samples", [20, 80])
+def test_scan_endpoint_calls_do_not_grow_with_samples(historical, monkeypatch, n_samples):
+    # one Newton batch for the whole scan: at most one initial evaluation, then
+    # per iteration two Jacobian columns and the line-search trials
+    config = ShootingConfig(t_max=4.5)
+    grid = build_shooting_grid(historical, Q0_STRONG, config)
+    monkeypatch.setattr(reachability, "build_shooting_grid", lambda *args: grid)
+    calls = []
+    real = reachability.endpoints
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reachability, "endpoints", spy)
+    segment, _ = _crossing_segment()
+    scan = discontinuity_scan(historical, Q0_STRONG, segment, n_samples, config)
+    assert len(scan.samples) == n_samples
+    assert 0 < len(calls) <= 1 + MAX_NEWTON * (2 + reachability.LINE_SEARCH_STEPS)
 
 
 # -- sphere and ball -------------------------------------------------------------
