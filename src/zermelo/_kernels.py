@@ -1,20 +1,37 @@
 """Low-level integration kernels for the extended heading flow.
 
 The hot inner loops live here: the right-hand side of the canonical
-``(r, theta, alpha)`` dynamics and a Dormand-Prince 5(4) adaptive stepper,
-once storing every accepted step and once sampling at caller-given times.
-The right-hand side reads the family profiles from
-``problems.profile_table``, compiled here as ``profile``.
+``(r, theta, alpha)`` dynamics and one Dormand-Prince 5(4) adaptive step,
+driven three ways.  The scalar stepper runs one lane, storing every accepted
+step (``rk45_trajectory``) or sampling at caller-given times
+(``rk45_at_times``).  The lane kernel ``rk45_lanes`` samples N lanes at
+once: one numpy loop advances every active lane by one trial step, each
+lane with its own time, step size and next target.  When fewer
+than ``TAIL_LANES`` lanes remain, each one finishes in the scalar stepper,
+resumed from its own state.  The right-hand side reads the family profiles
+from ``problems.profile_table``, compiled here as ``profile``.
 
-The kernels are compiled with numba when it is importable.  Setting the
-environment variable ``ZERMELO_DISABLE_NUMBA=1`` before import selects the
-pure-python/numpy fallback: the very same functions, undecorated.
-``BACKEND`` names the active path.  The benchmark in ``perfbench/`` measures
-the kernels and records the backend of each run.
+A lane's samples must not depend on the batch it runs in, so the numpy
+step and the scalar step produce the same bits.  ``+ - * /``, ``sqrt``,
+``sin`` and ``cos`` agree between numpy and ``math``; numpy's own array
+power does not agree with the C library's ``pow`` in the last bit.  So
+every power goes through the C library's ``pow``: a Python float's ``**``
+in the scalar step, ``numpy.float_power`` in the lane step.  The scalar
+stepper must therefore be given Python floats, not numpy scalars, whose
+``**`` is numpy's.
+
+The scalar stepper is compiled with numba when it is importable; the lane
+kernel is numpy only.  Setting the environment variable
+``ZERMELO_DISABLE_NUMBA=1`` before import selects the pure-python scalar
+stepper: the very same functions, undecorated.  ``BACKEND`` names the active
+path.  The benchmark in ``perfbench/`` measures the kernels and records the
+backend of each run.
 """
 
 import math
 import os
+
+import numpy as np
 
 from .problems import profile_table
 
@@ -69,6 +86,11 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 _H_FLOOR = 1e-14
+
+# a numpy step of the lane kernel costs about as much as 16 scalar steps
+# (about 200 us against 13 us on a 2-vCPU x86 VM), so below this many
+# running lanes the scalar stepper finishes the batch
+TAIL_LANES = 16
 
 
 profile = _njit(cache=True)(profile_table)
@@ -148,6 +170,13 @@ def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol):
 
 
 @_njit(cache=True)
+def _rejected_h(h_try, err):
+    if math.isfinite(err):
+        return h_try * max(0.2, 0.9 * err ** -0.2)
+    return 0.5 * h_try
+
+
+@_njit(cache=True)
 def _next_h(h, err, max_step):
     if err == 0.0:
         factor = 5.0
@@ -188,7 +217,7 @@ def rk45_trajectory(
         h_try = min(h, t_final - t)
         r5, th5, al5, err = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol)
         if err > 1.0:
-            h = h_try * max(0.2, 0.9 * err ** -0.2) if math.isfinite(err) else 0.5 * h_try
+            h = _rejected_h(h_try, err)
             continue
         t = t + h_try
         r, th, al = r5, th5, al5
@@ -213,12 +242,22 @@ def rk45_at_times(
     ``out_y`` has shape (len(ts), 3); rows past a premature halt are left
     untouched (callers pre-fill with nan).  Returns ``(n_filled, status)``.
     """
-    t, r, th, al = 0.0, r0, th0, al0
-    h = min(max_step, 1e-3)
+    return _resume_at_times(
+        code, k, a, b, 0.0, r0, th0, al0, min(max_step, 1e-3), 0, 0, ts,
+        rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y,
+    )
+
+
+@_njit(cache=True)
+def _resume_at_times(
+    code, k, a, b, t, r, th, al, h, steps, first, ts,
+    rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y,
+):
+    """:func:`rk45_at_times` resumed at time ``t`` with step ``h``, ``steps``
+    trial steps taken and the rows before ``first`` already filled."""
     status = STATUS_OK
-    filled = 0
-    steps = 0
-    for i in range(ts.shape[0]):
+    filled = first
+    for i in range(first, ts.shape[0]):
         target = ts[i]
         if target < t:
             status = STATUS_STEP_COLLAPSE
@@ -237,7 +276,7 @@ def rk45_at_times(
             h_try = min(h, target - t)
             r5, th5, al5, err = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol)
             if err > 1.0:
-                h = h_try * max(0.2, 0.9 * err ** -0.2) if math.isfinite(err) else 0.5 * h_try
+                h = _rejected_h(h_try, err)
                 continue
             t = t + h_try
             r, th, al = r5, th5, al5
@@ -253,3 +292,130 @@ def rk45_at_times(
         out_y[i, 2] = al
         filled = i + 1
     return filled, status
+
+
+# -- the lane kernel: numpy only, the same arithmetic as the scalar step ------
+
+
+def _lane_rhs(code, k, a, b, y, out):
+    """:func:`rhs` of every lane of the (3, N) state ``y``, written to ``out``."""
+    m, mp, mu, mup = profile_table(code, k, a, b, y[0])
+    sa = np.sin(y[2])
+    np.cos(y[2], out=out[0])
+    np.add(mu, sa / m, out=out[1])
+    np.subtract(mup * m * sa * sa, mp * sa / m, out=out[2])
+
+
+def _attempt_lanes(code, k, a, b, y, h, rtol, atol):
+    """:func:`_attempt_step` on every lane of ``y`` (3, N) with steps ``h`` (N,).
+
+    Returns the 5th-order states (3, N) and the error norms (N,), inf where
+    the trial state is not finite.  Each entry is computed by the same
+    operations, in the same order, as in :func:`_attempt_step`.
+    """
+    k1, k2, k3, k4, k5, k6, k7 = np.empty((7,) + y.shape)
+    _lane_rhs(code, k, a, b, y, k1)
+    _lane_rhs(code, k, a, b, y + h * _A21 * k1, k2)
+    _lane_rhs(code, k, a, b, y + h * (_A31 * k1 + _A32 * k2), k3)
+    _lane_rhs(code, k, a, b, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), k4)
+    _lane_rhs(code, k, a, b, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), k5)
+    _lane_rhs(
+        code, k, a, b,
+        y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
+        k6,
+    )
+    y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    _lane_rhs(code, k, a, b, y5, k7)
+    e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    q = np.float_power(e / (atol + rtol * np.maximum(np.abs(y), np.abs(y5))), 2.0)
+    err = np.sqrt((q[0] + q[1] + q[2]) / 3.0)
+    err[~(np.isfinite(y5).all(axis=0) & np.isfinite(err))] = math.inf
+    return y5, err
+
+
+def rk45_lanes(
+    code, k, a, b, r0, th0, al0, ts, rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y
+):
+    """:func:`rk45_at_times` on N lanes at once.
+
+    Lane ``i`` starts at ``(r0, th0, al0)`` (each a scalar or an (N,) array)
+    and hits the ascending times ``ts[i]`` exactly; ``ts`` is (N, M) and
+    ``out_y`` (N, M, 3), pre-filled with nan by the caller.  Each lane takes
+    the steps, and fills the rows, that :func:`rk45_at_times` gives it
+    alone, bit for bit.  Returns the status of each lane, an (N,) array.
+    """
+    n, n_t = ts.shape
+    status = np.full(n, STATUS_OK)
+    if n_t == 0:
+        return status
+    # the lanes still running and their states; every running lane has
+    # taken the same number of trial steps, one per pass of the loop
+    lane = np.arange(n)
+    t = np.zeros(n)
+    y = np.empty((3, n))
+    y[0], y[1], y[2] = r0, th0, al0
+    h = np.full(n, min(max_step, 1e-3))
+    nxt = np.zeros(n, dtype=np.int64)  # next target of each lane
+    target = ts[lane, nxt]
+    steps = 0
+    with np.errstate(all="ignore"):
+        while lane.shape[0] >= TAIL_LANES:
+            reached = ~(t < target)
+            while reached.any():  # fill the rows of the targets reached; drop finished lanes
+                collapse = target < t
+                fill = reached & ~collapse
+                out_y[lane[fill], nxt[fill]] = y[:, fill].T
+                nxt += fill
+                done = collapse | (nxt == n_t)
+                if done.any():
+                    status[lane[collapse]] = STATUS_STEP_COLLAPSE
+                    keep = ~done
+                    lane, t, y, h, nxt = lane[keep], t[keep], y[:, keep], h[keep], nxt[keep]
+                target = ts[lane, nxt]
+                reached = ~(t < target)
+            if lane.shape[0] < TAIL_LANES:
+                break
+
+            steps += 1
+            if steps > max_steps:
+                status[lane] = STATUS_MAX_STEPS
+                lane = lane[:0]
+                break
+            floor = h < _H_FLOOR * np.maximum(1.0, np.abs(t))
+            if floor.any():
+                r = y[0, floor]
+                near = np.minimum(r - dom_lo, dom_hi - r) < 1e-3 * (1.0 + np.abs(r))
+                status[lane[floor]] = np.where(near, STATUS_DOMAIN_EXIT, STATUS_STEP_COLLAPSE)
+                keep = ~floor
+                lane, t, y, h, nxt, target = (
+                    lane[keep], t[keep], y[:, keep], h[keep], nxt[keep], target[keep]
+                )
+
+            h_try = np.minimum(h, target - t)
+            y5, err = _attempt_lanes(code, k, a, b, y, h_try, rtol, atol)
+            ok = ~(err > 1.0)
+            t = np.where(ok, t + h_try, t)
+            y = np.where(ok, y5, y)
+            # the new step of _next_h (accepted) and of _rejected_h (not):
+            # both scale h_try by 0.9 err^-0.2 clipped to [0.2, 5], and by 0.5
+            # where err is inf.  At err = 0 the power is inf and clips to 5; on
+            # a rejected step the factor is below 0.9, so neither the upper clip
+            # nor the max_step cap binds there
+            factor = np.minimum(np.maximum(0.9 * np.float_power(err, -0.2), 0.2), 5.0)
+            factor[err == math.inf] = 0.5
+            h = np.minimum(h_try * factor, max_step)
+            left = ok & ((y[0] <= dom_lo + pad) | (y[0] >= dom_hi - pad))
+            if left.any():
+                status[lane[left]] = STATUS_DOMAIN_EXIT
+                keep = ~left
+                lane, t, y, h, nxt, target = (
+                    lane[keep], t[keep], y[:, keep], h[keep], nxt[keep], target[keep]
+                )
+
+    for j, i in enumerate(lane.tolist()):  # the last few lanes, each in the scalar stepper
+        status[i] = _resume_at_times(
+            code, k, a, b, float(t[j]), float(y[0, j]), float(y[1, j]), float(y[2, j]),
+            float(h[j]), steps, int(nxt[j]), ts[i],
+            rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y[i],
+        )[1]
+    return status

@@ -290,17 +290,18 @@ def closed_form_trajectory(
 def _sample(problem: ProblemDefinition, r0: float, th0: float, alphas, ts, control: StepControl):
     """Numeric flow of the lanes starting at canonical ``(r0, th0, alphas[i])``.
 
-    Lane ``i`` is sampled at the ascending times ``ts[i]``.  Returns the chart
-    states ``(n, m, 3)``, nan past the point where a lane halted, and the
-    kernel status of each lane.
+    Lane ``i`` is sampled at the ascending times ``ts[i]``.  All lanes run
+    in one call of the lane kernel, which steps every lane in one numpy
+    loop and finishes the last few in the scalar stepper; a lane's samples
+    do not depend on the other lanes.  Returns the chart states
+    ``(n, m, 3)``, nan past the point where a lane halted, and the kernel
+    status of each lane.
     """
-    head = (problem.code, problem.k, problem.a, problem.b, r0, th0)
-    tail = (*_step_args(problem, control), MAX_STEPS)
     out = np.full(ts.shape + (3,), np.nan)
-    status = []
-    for i in range(ts.shape[0]):
-        lane = _kernels.rk45_at_times(*head, float(alphas[i]), ts[i], *tail, out[i])
-        status.append(lane[1])
+    status = _kernels.rk45_lanes(
+        problem.code, problem.k, problem.a, problem.b, r0, th0, alphas, ts,
+        *_step_args(problem, control), MAX_STEPS, out,
+    )
     return np.stack(problem.swap(*np.moveaxis(out, -1, 0)), axis=-1), status
 
 
@@ -337,7 +338,9 @@ def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:
     """Extended state of a trajectory at an arbitrary time within its span.
 
     Closed-form trajectories re-evaluate exactly; numeric ones re-integrate
-    from the nearest stored sample at the trajectory's own tolerances.
+    from the nearest stored sample at the trajectory's own tolerances, in
+    one call of the scalar stepper (one short lane costs less there than in
+    the lane kernel).
     """
     if t < 0.0 or t > traj.t_end + 1e-12:
         raise ValueError(f"time {t!r} outside trajectory span [0, {traj.t_end}]")
@@ -351,11 +354,15 @@ def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:
     r0, th0, al0 = problem.to_canonical(traj.state(idx))
     problem.check_domain(r0)
     dt = float(t - traj.t[idx])
-    states, status = _sample(problem, r0, th0, (al0,), np.array([[dt]]), traj.control)
-    if np.isnan(states[0, 0, 0]):
-        name = STATUS_NAMES[status[0]]
+    out = np.full((1, 3), np.nan)
+    head = (problem.code, problem.k, problem.a, problem.b, float(r0), float(th0), float(al0))
+    filled, status = _kernels.rk45_at_times(
+        *head, np.array([dt]), *_step_args(problem, traj.control), MAX_STEPS, out
+    )
+    if not filled:
+        name = STATUS_NAMES[status]
         raise IntegrationError(f"integration halted before t={dt} ({name})", name)
-    return ExtendedState(*states[0, 0])
+    return ExtendedState(*problem.swap(*out[0]))
 
 
 def exponential_map(

@@ -120,8 +120,13 @@ def profile_table(code, k, a, b, r):
         return 1.0, 0.0, r, 1.0
     if code == 1:  # vortex: m = r, mu = k / r^2
         return r, 1.0, k / (r * r), -2.0 * k / (r * r * r)
-    m = r ** b
-    return m, b * r ** (b - 1.0), k * r ** a, k * a * r ** (a - 1.0)
+    if isinstance(r, np.ndarray):
+        # numpy's own array power differs in the last bit from the C library's
+        # pow, which float_power and a float's ``**`` both call; the lane and
+        # scalar integrators must agree bit for bit
+        pw = np.float_power
+        return pw(r, b), b * pw(r, b - 1.0), k * pw(r, a), k * a * pw(r, a - 1.0)
+    return r ** b, b * r ** (b - 1.0), k * r ** a, k * a * r ** (a - 1.0)
 
 
 @dataclass(frozen=True)

@@ -357,8 +357,13 @@ def _newton_polish(problem: ProblemDefinition, q0, targets, a0, t0, position_tol
         if ia.shape[0] == 0:
             break
         fa, ta = f[ia], targets[ia]
-        ja = (endpoint_batch(al[ia] + h, tt[ia]) - ta - fa) / h
-        jt = (endpoint_batch(al[ia], tt[ia] + h) - ta - fa) / h
+        # both Jacobian columns in one batch: the heading steps, then the time steps
+        n_a = ia.shape[0]
+        shifted = endpoint_batch(
+            np.concatenate((al[ia] + h, al[ia])), np.concatenate((tt[ia], tt[ia] + h))
+        )
+        ja = (shifted[:n_a] - ta - fa) / h
+        jt = (shifted[n_a:] - ta - fa) / h
         det = ja[:, 0] * jt[:, 1] - ja[:, 1] * jt[:, 0]
         ok = np.abs(det) > 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):

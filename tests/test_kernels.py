@@ -1,4 +1,10 @@
-"""Backend selection and numba/numpy path agreement."""
+"""Backend selection, numba/numpy path agreement, and the lane kernel.
+
+The lane kernel must give every lane what the scalar sampler gives it
+alone: the same statuses and halts, the same nan rows, and the same
+numbers.  Its numpy step and the scalar step must agree bit for bit,
+because where a lane passes from one to the other depends on its batch.
+"""
 
 import json
 import math
@@ -9,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from zermelo import _kernels
+from zermelo import _kernels, make_historical, make_powerlaw, make_vortex
 from zermelo.flow import BOUNDARY_PAD, MAX_STEP, MAX_STEPS, StepControl
 
 _PROBE = """
@@ -116,3 +122,142 @@ def test_domain_exit_status():
     )
     assert status == _kernels.STATUS_DOMAIN_EXIT
     assert out_y[n - 1, 0] <= BOUNDARY_PAD
+
+
+TOL = StepControl().tol
+
+
+def _step_args(problem, max_steps):
+    return (TOL, TOL, MAX_STEP, *problem.domain, BOUNDARY_PAD, max_steps)
+
+
+def _one_by_one(problem, r0, th0, alphas, ts, max_steps=MAX_STEPS):
+    """The scalar sampler, one lane at a time: the reference for the lane kernel."""
+    out = np.full(ts.shape + (3,), np.nan)
+    status = [
+        _kernels.rk45_at_times(
+            problem.code, problem.k, problem.a, problem.b, r0, th0, float(alphas[i]), ts[i],
+            *_step_args(problem, max_steps), out[i],
+        )[1]
+        for i in range(ts.shape[0])
+    ]
+    return out, np.array(status)
+
+
+def _all_at_once(problem, r0, th0, alphas, ts, max_steps=MAX_STEPS):
+    out = np.full(ts.shape + (3,), np.nan)
+    status = _kernels.rk45_lanes(
+        problem.code, problem.k, problem.a, problem.b, r0, th0, np.asarray(alphas, dtype=float),
+        ts, *_step_args(problem, max_steps), out,
+    )
+    return out, status
+
+
+def _headings(n):
+    return np.linspace(-math.pi, math.pi, n, endpoint=False) + 0.01
+
+
+def _edge_times(n):
+    """Rows cycling through a t = 0 column, repeated times and descending times."""
+    rows = [
+        [0.0, 0.0, 0.1, 0.1, 0.3],
+        [0.0, 0.05, 0.05, 0.05, 0.2],
+        [0.2, 0.1, 0.3, 0.4, 0.5],  # descending: a step collapse after the first sample
+        [0.1, 0.2, 0.3, 0.4, 0.45],
+    ]
+    return np.array([rows[i % len(rows)] for i in range(n)])
+
+
+LANE_CASES = {
+    # name: problem, canonical start (r0, th0), headings, times, max_steps
+    "vortex-grid": (
+        make_vortex(1.0), (0.5, 0.0), _headings(48),
+        np.broadcast_to(np.linspace(0.0, 0.5, 24), (48, 24)), MAX_STEPS,
+    ),
+    "vortex-newton": (
+        make_vortex(1.0), (0.5, 0.3), _headings(40),
+        np.random.default_rng(3).uniform(0.0, 0.5, (40, 1)), MAX_STEPS,
+    ),
+    "powerlaw": (
+        make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0), _headings(48),
+        np.broadcast_to(np.linspace(0.0, 0.6, 16), (48, 16)), MAX_STEPS,
+    ),
+    "historical": (
+        make_historical(), (2.0, 0.0), _headings(32),
+        np.broadcast_to(np.linspace(0.0, 1.0, 12), (32, 12)), MAX_STEPS,
+    ),
+    "edge-times": (make_vortex(1.0), (0.5, 0.0), _headings(40), _edge_times(40), MAX_STEPS),
+    "max-steps": (make_vortex(1.0), (0.5, 0.0), _headings(40), _edge_times(40), 40),
+}
+
+EXPECTED_HALTS = {
+    "powerlaw": _kernels.STATUS_DOMAIN_EXIT,
+    "edge-times": _kernels.STATUS_STEP_COLLAPSE,
+    "max-steps": _kernels.STATUS_MAX_STEPS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANE_CASES))
+def test_lane_kernel_matches_scalar_sampler(case):
+    problem, (r0, th0), alphas, ts, max_steps = LANE_CASES[case]
+    assert ts.shape[0] > _kernels.TAIL_LANES  # the numpy loop runs
+    ref, ref_status = _one_by_one(problem, r0, th0, alphas, ts, max_steps)
+    out, status = _all_at_once(problem, r0, th0, alphas, ts, max_steps)
+    assert status.tolist() == ref_status.tolist()
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    finite = ~np.isnan(ref)
+    assert finite.any()
+    assert np.max(np.abs(out[finite] - ref[finite])) <= 1e-9
+    if case in EXPECTED_HALTS:
+        assert EXPECTED_HALTS[case] in status.tolist()
+        assert _kernels.STATUS_OK in status.tolist()
+
+
+@pytest.mark.parametrize(
+    "problem, r_range, log_h_max",
+    [
+        (make_historical(), (-3.0, 3.0), -0.5),
+        (make_vortex(1.0), (0.3, 2.0), -1.7),
+        # non-integer powers; steps short enough that every stage keeps r > 0
+        (make_powerlaw(1.0, -2.0, 0.5), (0.5, 2.0), -1.7),
+    ],
+    ids=["historical", "vortex", "powerlaw"],
+)
+def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
+    rng = np.random.default_rng(7)
+    n = 300
+    y = np.stack([
+        rng.uniform(*r_range, n), rng.uniform(-math.pi, math.pi, n), rng.uniform(-4.0, 4.0, n)
+    ])
+    h = 10.0 ** rng.uniform(-6.0, log_h_max, n)
+    head = (problem.code, problem.k, problem.a, problem.b)
+    y5, err = _kernels._attempt_lanes(*head, y, h, TOL, TOL)
+    assert (err > 1.0).any() and (err <= 1.0).any()  # both branches of the controller
+    for i in range(n):
+        scalar = _kernels._attempt_step(*head, *y[:, i].tolist(), float(h[i]), TOL, TOL)
+        assert scalar == (y5[0, i], y5[1, i], y5[2, i], err[i])
+
+
+@pytest.mark.parametrize("n_batch", [_kernels.TAIL_LANES - 1, 4 * _kernels.TAIL_LANES + 3])
+def test_lane_row_does_not_depend_on_its_batch(n_batch):
+    # the probe lane alone runs in the scalar stepper only; in the larger batch
+    # it starts in the numpy loop and passes to the scalar stepper when the
+    # lanes around it have finished or halted
+    problem = make_powerlaw(1.0, -3.0, 1.0)
+    r0, th0 = 0.5, 0.0
+    probe_alpha, probe_ts = 0.9, np.array([0.0, 0.1, 0.25, 0.3, 0.55])
+    alone, alone_status = _all_at_once(problem, r0, th0, [probe_alpha], probe_ts[None, :])
+
+    rng = np.random.default_rng(n_batch)
+    alphas = rng.uniform(-math.pi, math.pi, n_batch)
+    alphas[: n_batch // 3] = math.pi - 0.05  # heading inward: these lanes leave the domain
+    ts = np.sort(rng.uniform(0.0, 0.6, (n_batch, probe_ts.shape[0])), axis=1)
+    ts[1] = ts[1, ::-1]  # descending times: a step collapse
+    where = n_batch // 2
+    alphas[where], ts[where] = probe_alpha, probe_ts
+    out, status = _all_at_once(problem, r0, th0, alphas, ts)
+
+    assert _kernels.STATUS_DOMAIN_EXIT in status.tolist()
+    assert _kernels.STATUS_STEP_COLLAPSE in status.tolist()
+    assert status[where] == alone_status[0] == _kernels.STATUS_OK
+    assert np.array_equal(out[where], alone[0])

@@ -296,6 +296,25 @@ def test_value_samples_batch_equals_singles(historical, vortex):
     assert [s.reachable for s in batch] == [True, False, True, True, True]
 
 
+def test_powerlaw_value_samples_batch_equals_singles():
+    # powerlaw profiles are powers of r: equal results need the lane kernel
+    # and the scalar stepper, which finishes its last lanes, to agree bit for bit
+    problem = make_powerlaw(1.0, -3.0, 1.0)
+    q0 = (0.5, 0.0)
+    config = ShootingConfig(t_max=0.6, n_alpha=96, n_time=64)
+    grid = build_shooting_grid(problem, q0, config)
+    heads = abnormal_headings(problem, q0[0])
+    targets = [
+        exponential_map(problem, q0, heads[0], 0.1),
+        exponential_map(problem, q0, heads[1], 0.2),
+        exponential_map(problem, q0, 0.9, 0.3),
+        exponential_map(problem, q0, 2.0, 0.25),
+    ]
+    batch = _value_samples(problem, q0, targets, config, grid)
+    assert batch == [value_function(problem, q0, tgt, config, grid) for tgt in targets]
+    assert all(s.reachable for s in batch)
+
+
 @pytest.mark.parametrize("n_samples", [20, 80])
 def test_scan_endpoint_calls_do_not_grow_with_samples(historical, monkeypatch, n_samples):
     # one Newton batch for the whole scan: at most one initial evaluation, then
