@@ -4,12 +4,13 @@ The hot inner loops live here: the right-hand side of the canonical
 ``(r, theta, alpha)`` dynamics and one Dormand-Prince 5(4) adaptive step,
 driven three ways.  The scalar stepper runs one lane, storing every accepted
 step (``rk45_trajectory``) or sampling at caller-given times
-(``rk45_at_times``).  The lane kernel ``rk45_lanes`` samples N lanes at
+(``rk45_at_times``); both take their trial steps through one step policy,
+``_advance``.  The lane kernel ``rk45_lanes`` samples N lanes at
 once: one numpy loop advances every active lane by one trial step, each
 lane with its own time, step size and next target.  When fewer
 than ``TAIL_LANES`` lanes remain, each one finishes in the scalar stepper,
 resumed from its own state.  The right-hand side reads the family profiles
-from ``problems.profile_table``, compiled here as ``profile``.
+from ``problems.profile_table``.
 
 A lane's samples must not depend on the batch it runs in, so the numpy
 step and the scalar step produce the same bits.  ``+ - * /``, ``sqrt``,
@@ -20,41 +21,17 @@ in the scalar step, ``numpy.float_power`` in the lane step.  The scalar
 stepper must therefore be given Python floats, not numpy scalars, whose
 ``**`` is numpy's.
 
-The scalar stepper is compiled with numba when it is importable; the lane
-kernel is numpy only.  Setting the environment variable
-``ZERMELO_DISABLE_NUMBA=1`` before import selects the pure-python scalar
-stepper: the very same functions, undecorated.  ``BACKEND`` names the active
-path.  The benchmark in ``perfbench/`` measures the kernels and records the
-backend of each run.
+``BACKEND`` names the kernels' implementation; the benchmark in
+``perfbench/`` records it with each run.
 """
 
 import math
-import os
 
 import numpy as np
 
 from .problems import profile_table
 
-NUMBA_ENV_FLAG = "ZERMELO_DISABLE_NUMBA"
-
-try:
-    if os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() in {"1", "true", "yes"}:
-        raise ImportError("numba disabled by environment flag")
-    from numba import njit as _njit
-
-    BACKEND = "numba"
-except ImportError:  # fallback: identical code, no compilation
-    BACKEND = "numpy"
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
-
+BACKEND = "numpy"
 
 # integration outcomes
 STATUS_OK = 0
@@ -93,18 +70,13 @@ _H_FLOOR = 1e-14
 TAIL_LANES = 16
 
 
-profile = _njit(cache=True)(profile_table)
-
-
-@_njit(cache=True)
 def rhs(code, k, a, b, r, alpha):
     """Canonical dynamics (dr, dtheta, dalpha) at radius r and heading alpha."""
-    m, mp, mu, mup = profile(code, k, a, b, r)
+    m, mp, mu, mup = profile_table(code, k, a, b, r)
     sa = math.sin(alpha)
     return math.cos(alpha), mu + sa / m, mup * m * sa * sa - mp * sa / m
 
 
-@_njit(cache=True)
 def _classify_halt(r, t, dom_lo, dom_hi):
     """Step-size underflow: domain exit if hugging a finite boundary, else collapse."""
     dist = min(r - dom_lo, dom_hi - r)
@@ -113,7 +85,6 @@ def _classify_halt(r, t, dom_lo, dom_hi):
     return STATUS_STEP_COLLAPSE
 
 
-@_njit(cache=True)
 def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol):
     """One trial Dormand-Prince step; returns (r5, th5, al5, err)."""
     k1r, k1t, k1a = rhs(code, k, a, b, r, al)
@@ -169,34 +140,56 @@ def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol):
     return r5, th5, al5, err
 
 
-@_njit(cache=True)
-def _rejected_h(h_try, err):
-    if math.isfinite(err):
-        return h_try * max(0.2, 0.9 * err ** -0.2)
-    return 0.5 * h_try
+def _new_h(h_try, err, max_step):
+    """Step size after a trial step ``h_try`` with error norm ``err``, capped at ``max_step``.
 
-
-@_njit(cache=True)
-def _next_h(h, err, max_step):
+    The factor is ``0.9 err^-0.2`` clipped to [0.2, 5] (Dormand & Prince,
+    J. Comput. Appl. Math. 6, 1980), and 0.5 at err = inf.
+    """
     if err == 0.0:
         factor = 5.0
+    elif err == math.inf:
+        factor = 0.5
     else:
-        factor = 0.9 * err ** -0.2
-        if factor > 5.0:
-            factor = 5.0
-        elif factor < 0.2:
-            factor = 0.2
-    return min(h * factor, max_step)
+        factor = min(max(0.9 * err ** -0.2, 0.2), 5.0)
+    return min(h_try * factor, max_step)
 
 
-@_njit(cache=True)
+def _advance(
+    code, k, a, b, t, r, th, al, h, steps, target,
+    rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps,
+):
+    """Trial steps from time ``t`` toward ``target`` until one is accepted or the lane halts.
+
+    Returns ``(t, r, th, al, h, steps, status)``: ``steps`` counts trial
+    steps against ``max_steps``, and the status is ``STATUS_DOMAIN_EXIT`` if
+    the accepted radius is within ``pad`` of the domain boundary.  A halt
+    before any step is accepted returns the state it was given.
+    """
+    while True:
+        steps += 1
+        if steps > max_steps:
+            return t, r, th, al, h, steps, STATUS_MAX_STEPS
+        if h < _H_FLOOR * max(1.0, abs(t)):
+            return t, r, th, al, h, steps, _classify_halt(r, t, dom_lo, dom_hi)
+        h_try = min(h, target - t)
+        r5, th5, al5, err = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol)
+        h = _new_h(h_try, err, max_step)
+        if err <= 1.0:
+            break
+    if r5 <= dom_lo + pad or r5 >= dom_hi - pad:
+        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT
+    return t + h_try, r5, th5, al5, h, steps, STATUS_OK
+
+
 def rk45_trajectory(
     code, k, a, b, r0, th0, al0, t_final, rtol, atol, max_step, dom_lo, dom_hi, pad, out_t, out_y
 ):
     """Integrate to ``t_final`` storing every accepted step.
 
     ``out_t`` (n_max,) and ``out_y`` (n_max, 3) are caller-allocated; row 0
-    receives the initial state.  Returns ``(n_stored, status)``.
+    receives the initial state.  Returns ``(n_stored, status)``; the row
+    that leaves the domain is stored.
     """
     n_max = out_t.shape[0]
     out_t[0] = 0.0
@@ -209,31 +202,23 @@ def rk45_trajectory(
     status = STATUS_OK
     while t < t_final:
         if n >= n_max:
-            status = STATUS_MAX_STEPS
+            return n, STATUS_MAX_STEPS
+        t_new, r, th, al, h, _, status = _advance(
+            code, k, a, b, t, r, th, al, h, 0, t_final,
+            rtol, atol, max_step, dom_lo, dom_hi, pad, math.inf,
+        )
+        if t_new > t:  # a step was accepted; a halt leaves t where it was
+            t = t_new
+            out_t[n] = t  # scalar stores cost less than a tuple into the row
+            out_y[n, 0] = r
+            out_y[n, 1] = th
+            out_y[n, 2] = al
+            n += 1
+        if status != STATUS_OK:
             break
-        if h < _H_FLOOR * max(1.0, abs(t)):
-            status = _classify_halt(r, t, dom_lo, dom_hi)
-            break
-        h_try = min(h, t_final - t)
-        r5, th5, al5, err = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol)
-        if err > 1.0:
-            h = _rejected_h(h_try, err)
-            continue
-        t = t + h_try
-        r, th, al = r5, th5, al5
-        out_t[n] = t
-        out_y[n, 0] = r
-        out_y[n, 1] = th
-        out_y[n, 2] = al
-        n += 1
-        if r <= dom_lo + pad or r >= dom_hi - pad:
-            status = STATUS_DOMAIN_EXIT
-            break
-        h = _next_h(h_try, err, max_step)
     return n, status
 
 
-@_njit(cache=True)
 def rk45_at_times(
     code, k, a, b, r0, th0, al0, ts, rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y
 ):
@@ -248,50 +233,27 @@ def rk45_at_times(
     )
 
 
-@_njit(cache=True)
 def _resume_at_times(
     code, k, a, b, t, r, th, al, h, steps, first, ts,
     rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y,
 ):
     """:func:`rk45_at_times` resumed at time ``t`` with step ``h``, ``steps``
     trial steps taken and the rows before ``first`` already filled."""
-    status = STATUS_OK
-    filled = first
     for i in range(first, ts.shape[0]):
         target = ts[i]
         if target < t:
-            status = STATUS_STEP_COLLAPSE
-            break
-        halted = False
+            return i, STATUS_STEP_COLLAPSE
         while t < target:
-            steps += 1
-            if steps > max_steps:
-                status = STATUS_MAX_STEPS
-                halted = True
-                break
-            if h < _H_FLOOR * max(1.0, abs(t)):
-                status = _classify_halt(r, t, dom_lo, dom_hi)
-                halted = True
-                break
-            h_try = min(h, target - t)
-            r5, th5, al5, err = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol)
-            if err > 1.0:
-                h = _rejected_h(h_try, err)
-                continue
-            t = t + h_try
-            r, th, al = r5, th5, al5
-            if r <= dom_lo + pad or r >= dom_hi - pad:
-                status = STATUS_DOMAIN_EXIT
-                halted = True
-                break
-            h = _next_h(h_try, err, max_step)
-        if halted:
-            break
+            t, r, th, al, h, steps, status = _advance(
+                code, k, a, b, t, r, th, al, h, steps, target,
+                rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps,
+            )
+            if status != STATUS_OK:
+                return i, status
         out_y[i, 0] = r
         out_y[i, 1] = th
         out_y[i, 2] = al
-        filled = i + 1
-    return filled, status
+    return ts.shape[0], STATUS_OK
 
 
 # -- the lane kernel: numpy only, the same arithmetic as the scalar step ------
@@ -396,11 +358,7 @@ def rk45_lanes(
             ok = ~(err > 1.0)
             t = np.where(ok, t + h_try, t)
             y = np.where(ok, y5, y)
-            # the new step of _next_h (accepted) and of _rejected_h (not):
-            # both scale h_try by 0.9 err^-0.2 clipped to [0.2, 5], and by 0.5
-            # where err is inf.  At err = 0 the power is inf and clips to 5; on
-            # a rejected step the factor is below 0.9, so neither the upper clip
-            # nor the max_step cap binds there
+            # the step size of _new_h: at err = 0 the power is inf and clips to 5
             factor = np.minimum(np.maximum(0.9 * np.float_power(err, -0.2), 0.2), 5.0)
             factor[err == math.inf] = 0.5
             h = np.minimum(h_try * factor, max_step)

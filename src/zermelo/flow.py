@@ -287,24 +287,6 @@ def closed_form_trajectory(
     return traj
 
 
-def _sample(problem: ProblemDefinition, r0: float, th0: float, alphas, ts, control: StepControl):
-    """Numeric flow of the lanes starting at canonical ``(r0, th0, alphas[i])``.
-
-    Lane ``i`` is sampled at the ascending times ``ts[i]``.  All lanes run
-    in one call of the lane kernel, which steps every lane in one numpy
-    loop and finishes the last few in the scalar stepper; a lane's samples
-    do not depend on the other lanes.  Returns the chart states
-    ``(n, m, 3)``, nan past the point where a lane halted, and the kernel
-    status of each lane.
-    """
-    out = np.full(ts.shape + (3,), np.nan)
-    status = _kernels.rk45_lanes(
-        problem.code, problem.k, problem.a, problem.b, r0, th0, alphas, ts,
-        *_step_args(problem, control), MAX_STEPS, out,
-    )
-    return np.stack(problem.swap(*np.moveaxis(out, -1, 0)), axis=-1), status
-
-
 def endpoints(
     problem: ProblemDefinition,
     q0,
@@ -329,9 +311,15 @@ def endpoints(
         if ts.shape[0] == 1:  # one row of times for all headings: the grid form
             return closedform.historical_positions(x0, y0, headings, ts[0])
         return closedform.historical_endpoints(x0, y0, headings[:, None], ts)
+    # one call of the lane kernel; a lane's samples do not depend on its batch
     ts = np.broadcast_to(ts, (headings.shape[0], ts.shape[1]))
-    alphas = problem.swap_heading(headings)
-    return _sample(problem, r0, th0, alphas, ts, control or StepControl())[0][..., :2]
+    out = np.full(ts.shape + (3,), np.nan)
+    _kernels.rk45_lanes(
+        problem.code, problem.k, problem.a, problem.b, r0, th0, problem.swap_heading(headings),
+        ts, *_step_args(problem, control or StepControl()), MAX_STEPS, out,
+    )
+    c1, c2, _ = problem.swap(out[..., 0], out[..., 1], 0.0)
+    return np.stack((c1, c2), axis=-1)
 
 
 def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:

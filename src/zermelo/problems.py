@@ -18,7 +18,7 @@ Three closed families are built in:
 
 This is the only module that knows the families.  :func:`profile_table`
 holds the profile formulas once, for :meth:`ProblemDefinition.profile` and
-the compiled integration kernels alike; the problem also gives the radii of
+the integration kernels alike; the problem also gives the radii of
 the strong/weak boundary and the chart map to canonical ``(r, theta, alpha)``.
 Derivatives of the profiles are analytic, never finite differences:
 downstream quantities (the heading feedback and the bracket determinants) are
@@ -113,8 +113,8 @@ _FAMILIES = {
 def profile_table(code, k, a, b, r):
     """Return ``(m, m', mu, mu')`` for the family tagged by ``code`` at radius r.
 
-    The one table of profile formulas.  Each branch returns scalars for a
-    scalar r, so the integration kernels can compile it as it stands.
+    The one table of profile formulas, for a scalar r (the scalar stepper)
+    or an array r (the lane kernel); a constant profile stays a scalar.
     """
     if code == 0:  # historical: m = 1, mu = r
         return 1.0, 0.0, r, 1.0

@@ -1,16 +1,14 @@
-"""Backend selection, numba/numpy path agreement, and the lane kernel.
+"""The scalar stepper and the lane kernel.
 
+The scalar stepper stores every accepted step or samples at given times,
+through one step policy; both must reach the same state at the same time.
 The lane kernel must give every lane what the scalar sampler gives it
 alone: the same statuses and halts, the same nan rows, and the same
 numbers.  Its numpy step and the scalar step must agree bit for bit,
 because where a lane passes from one to the other depends on its batch.
 """
 
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -18,51 +16,11 @@ import pytest
 from zermelo import _kernels, make_historical, make_powerlaw, make_vortex
 from zermelo.flow import BOUNDARY_PAD, MAX_STEP, MAX_STEPS, StepControl
 
-_PROBE = """
-import json, math, sys
-import numpy as np
-from zermelo import ExtendedState, StepControl, integrate_numeric, make_historical, make_vortex
-from zermelo import _kernels
-
-out = {"backend": _kernels.BACKEND, "finals": []}
-control = StepControl()
-for problem, state, t in (
-    (make_historical(), (0.0, 2.0, -2.0), 2.0),
-    (make_historical(), (0.0, 2.0, 0.7), 1.0),
-    (make_vortex(1.0), (1.0, 0.0, 1.1), 1.0),
-):
-    traj = integrate_numeric(problem, ExtendedState(*state), t, control)
-    out["finals"].append([traj.final_state.c1, traj.final_state.c2, traj.final_state.heading, len(traj)])
-print(json.dumps(out))
-"""
+TOL = StepControl().tol
 
 
-def _run_probe(disable: bool):
-    env = dict(os.environ)
-    env[_kernels.NUMBA_ENV_FLAG] = "1" if disable else "0"
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    return json.loads(proc.stdout)
-
-
-@pytest.fixture(scope="module")
-def probes():
-    """Probe output with numba allowed (False) and disabled (True), one run each."""
-    return {disable: _run_probe(disable) for disable in (False, True)}
-
-
-def test_env_flag_selects_backend(probes):
-    fast, slow = probes[False], probes[True]
-    assert slow["backend"] == "numpy"
-    assert fast["backend"] in ("numba", "numpy")  # numba expected when installed
-
-
-def test_backends_agree(probes):
-    fast, slow = probes[False], probes[True]
-    for a, b in zip(fast["finals"], slow["finals"]):
-        assert a[3] == b[3]  # identical accepted-step counts
-        assert np.allclose(a[:3], b[:3], atol=1e-12)
+def _step_args(problem, max_steps):
+    return (TOL, TOL, MAX_STEP, *problem.domain, BOUNDARY_PAD, max_steps)
 
 
 def test_rhs_values():
@@ -76,27 +34,52 @@ def test_rhs_values():
     assert np.allclose((dr, dth, dal), (0.0, 4.5, 3.5))
 
 
-def test_at_times_matches_trajectory_endpoint():
-    control = StepControl()
-    ts = np.array([0.0, 0.4, 1.0])
-    out = np.full((3, 3), np.nan)
-    filled, status = _kernels.rk45_at_times(
-        0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.9, ts,
-        control.tol, control.tol, MAX_STEP,
-        -math.inf, math.inf, BOUNDARY_PAD, MAX_STEPS, out,
+def _trajectory(problem, r0, th0, al0, t_final):
+    out_t = np.empty(MAX_STEPS + 1)
+    out_y = np.empty((MAX_STEPS + 1, 3))
+    n, status = _kernels.rk45_trajectory(
+        problem.code, problem.k, problem.a, problem.b, r0, th0, al0, t_final,
+        TOL, TOL, MAX_STEP, *problem.domain, BOUNDARY_PAD, out_t, out_y,
     )
+    return out_t[:n], out_y[:n], status
+
+
+def _at_times(problem, r0, th0, al0, ts):
+    out = np.full((len(ts), 3), np.nan)
+    filled, status = _kernels.rk45_at_times(
+        problem.code, problem.k, problem.a, problem.b, r0, th0, al0, np.asarray(ts),
+        *_step_args(problem, MAX_STEPS), out,
+    )
+    return out, filled, status
+
+
+@pytest.mark.parametrize(
+    "problem, start",
+    [
+        (make_historical(), (2.0, 0.0, 0.9)),
+        (make_vortex(1.0), (0.5, 0.0, 1.1)),
+        (make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0, 0.9)),
+        (make_powerlaw(1.0, -2.0, 0.5), (0.8, 0.0, 0.9)),
+    ],
+    ids=["historical", "vortex", "powerlaw-3", "powerlaw-2"],
+)
+def test_trajectory_end_equals_one_target_sample(problem, start):
+    # both kernels take their trial steps through one step policy: the last
+    # stored row and the one sample at t_final are the same bits
+    out_t, out_y, status = _trajectory(problem, *start, 1.0)
+    assert status == _kernels.STATUS_OK and out_t[-1] == 1.0
+    out, filled, status = _at_times(problem, *start, [1.0])
+    assert filled == 1 and status == _kernels.STATUS_OK
+    assert out[0].tolist() == out_y[-1].tolist()
+
+
+def test_at_times_matches_trajectory_endpoint():
+    out, filled, status = _at_times(make_historical(), 2.0, 0.0, 0.9, [0.0, 0.4, 1.0])
     assert filled == 3 and status == _kernels.STATUS_OK
     assert np.allclose(out[0], (2.0, 0.0, 0.9))
-    n_max = MAX_STEPS + 1
-    out_t = np.empty(n_max)
-    out_y = np.empty((n_max, 3))
-    n, status2 = _kernels.rk45_trajectory(
-        0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.9, 1.0,
-        control.tol, control.tol, MAX_STEP,
-        -math.inf, math.inf, BOUNDARY_PAD, out_t, out_y,
-    )
-    assert status2 == _kernels.STATUS_OK
-    assert np.allclose(out[2], out_y[n - 1], atol=1e-10)
+    _, out_y, status = _trajectory(make_historical(), 2.0, 0.0, 0.9, 1.0)
+    assert status == _kernels.STATUS_OK
+    assert np.allclose(out[2], out_y[-1], atol=1e-10)
 
 
 def test_max_steps_status():
@@ -111,24 +94,14 @@ def test_max_steps_status():
 
 
 def test_domain_exit_status():
-    control = StepControl()
-    n_max = MAX_STEPS + 1
-    out_t = np.empty(n_max)
-    out_y = np.empty((n_max, 3))
-    n, status = _kernels.rk45_trajectory(
-        1, 1.0, 0.0, 0.0, 0.2, 0.0, math.pi, 0.5,
-        control.tol, control.tol, MAX_STEP,
-        0.0, math.inf, BOUNDARY_PAD, out_t, out_y,
-    )
+    # heading inward from r = 0.2 around the k = 1 vortex
+    problem, start = make_vortex(1.0), (0.2, 0.0, math.pi)
+    _, out_y, status = _trajectory(problem, *start, 0.5)
     assert status == _kernels.STATUS_DOMAIN_EXIT
-    assert out_y[n - 1, 0] <= BOUNDARY_PAD
-
-
-TOL = StepControl().tol
-
-
-def _step_args(problem, max_steps):
-    return (TOL, TOL, MAX_STEP, *problem.domain, BOUNDARY_PAD, max_steps)
+    assert out_y[-1, 0] <= BOUNDARY_PAD  # the row that left the domain is stored
+    out, filled, status = _at_times(problem, *start, [0.5])
+    assert status == _kernels.STATUS_DOMAIN_EXIT
+    assert filled == 0 and np.isnan(out).all()
 
 
 def _one_by_one(problem, r0, th0, alphas, ts, max_steps=MAX_STEPS):
