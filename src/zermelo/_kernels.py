@@ -6,11 +6,15 @@ driven three ways.  The scalar stepper runs one lane, storing every accepted
 step (``rk45_trajectory``) or sampling at caller-given times
 (``rk45_at_times``); both take their trial steps through one step policy,
 ``_advance``.  The lane kernel ``rk45_lanes`` samples N lanes at
-once: one numpy loop advances every active lane by one trial step, each
-lane with its own time, step size and next target.  When fewer
-than ``TAIL_LANES`` lanes remain, each one finishes in the scalar stepper,
-resumed from its own state.  The right-hand side reads the family profiles
-from ``problems.profile_table``.
+once: one numpy loop advances every running lane by one trial step.  The
+running lanes' (t, r, theta, alpha, h) are the columns of one (5, N) array,
+beside their indices and next targets.  Each pass records the status of
+every lane that stops (all targets filled, a descending target, a step
+size below the floor, ``max_steps`` passed, a domain exit), and one
+statement drops them.  Both steppers name a floor halt by ``_floor_halt``.
+When fewer than ``TAIL_LANES`` lanes remain, each one finishes in the
+scalar stepper, resumed from its column.  The right-hand side reads the
+family profiles from ``problems.profile_table``.
 
 A lane's samples must not depend on the batch it runs in, so the numpy
 step and the scalar step produce the same bits.  ``+ - * /``, ``sqrt``,
@@ -77,12 +81,12 @@ def rhs(code, k, a, b, r, alpha):
     return math.cos(alpha), mu + sa / m, mup * m * sa * sa - mp * sa / m
 
 
-def _classify_halt(r, t, dom_lo, dom_hi):
-    """Step-size underflow: domain exit if hugging a finite boundary, else collapse."""
-    dist = min(r - dom_lo, dom_hi - r)
-    if dist < 1e-3 * (1.0 + abs(r)):
-        return STATUS_DOMAIN_EXIT
-    return STATUS_STEP_COLLAPSE
+def _floor_halt(r, dom_lo, dom_hi):
+    """Status of a lane whose step size fell below the floor at radius ``r``
+    (a float or an array): a domain exit next to a finite boundary, else a
+    step collapse."""
+    near = np.minimum(r - dom_lo, dom_hi - r) < 1e-3 * (1.0 + np.abs(r))
+    return np.where(near, STATUS_DOMAIN_EXIT, STATUS_STEP_COLLAPSE)
 
 
 def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol):
@@ -171,7 +175,7 @@ def _advance(
         if steps > max_steps:
             return t, r, th, al, h, steps, STATUS_MAX_STEPS
         if h < _H_FLOOR * max(1.0, abs(t)):
-            return t, r, th, al, h, steps, _classify_halt(r, t, dom_lo, dom_hi)
+            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi))
         h_try = min(h, target - t)
         r5, th5, al5, err = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol)
         h = _new_h(h_try, err, max_step)
@@ -310,70 +314,60 @@ def rk45_lanes(
     status = np.full(n, STATUS_OK)
     if n_t == 0:
         return status
-    # the lanes still running and their states; every running lane has
-    # taken the same number of trial steps, one per pass of the loop
+    # the lanes still running: their indices, their states (t, r, theta,
+    # alpha, h) and their next targets; every running lane has taken the
+    # same number of trial steps, one per pass of the loop
     lane = np.arange(n)
-    t = np.zeros(n)
-    y = np.empty((3, n))
-    y[0], y[1], y[2] = r0, th0, al0
-    h = np.full(n, min(max_step, 1e-3))
-    nxt = np.zeros(n, dtype=np.int64)  # next target of each lane
-    target = ts[lane, nxt]
+    s = np.empty((5, n))
+    s[0], s[1], s[2], s[3], s[4] = 0.0, r0, th0, al0, min(max_step, 1e-3)
+    nxt = np.zeros(n, dtype=np.int64)
+    target = ts[:, 0]
+    stop = np.full(n, -1)  # the status each lane stops with in this pass; -1 runs on
     steps = 0
+    # count_nonzero tests a mask in a third of the time of any() or all()
     with np.errstate(all="ignore"):
-        while lane.shape[0] >= TAIL_LANES:
-            reached = ~(t < target)
-            while reached.any():  # fill the rows of the targets reached; drop finished lanes
-                collapse = target < t
-                fill = reached & ~collapse
-                out_y[lane[fill], nxt[fill]] = y[:, fill].T
+        while True:
+            while True:  # fill the rows of the targets reached
+                run = stop < 0
+                reached = run & ~(s[0] < target)
+                if not np.count_nonzero(reached):
+                    break
+                fill = reached & ~(target < s[0])
+                out_y[lane[fill], nxt[fill]] = s[1:4, fill].T
                 nxt += fill
-                done = collapse | (nxt == n_t)
-                if done.any():
-                    status[lane[collapse]] = STATUS_STEP_COLLAPSE
-                    keep = ~done
-                    lane, t, y, h, nxt = lane[keep], t[keep], y[:, keep], h[keep], nxt[keep]
-                target = ts[lane, nxt]
-                reached = ~(t < target)
+                stop[reached & ~fill] = STATUS_STEP_COLLAPSE  # a descending target
+                stop[nxt == n_t] = STATUS_OK
+                target = ts[lane, np.minimum(nxt, n_t - 1)]
+            # the one retirement: record the statuses of the lanes that stop, drop them
+            if np.count_nonzero(run) < lane.shape[0]:
+                status[lane[~run]] = stop[~run]
+                lane, s, nxt, target, stop = lane[run], s[:, run], nxt[run], target[run], stop[run]
             if lane.shape[0] < TAIL_LANES:
                 break
 
             steps += 1
             if steps > max_steps:
-                status[lane] = STATUS_MAX_STEPS
-                lane = lane[:0]
-                break
-            floor = h < _H_FLOOR * np.maximum(1.0, np.abs(t))
-            if floor.any():
-                r = y[0, floor]
-                near = np.minimum(r - dom_lo, dom_hi - r) < 1e-3 * (1.0 + np.abs(r))
-                status[lane[floor]] = np.where(near, STATUS_DOMAIN_EXIT, STATUS_STEP_COLLAPSE)
-                keep = ~floor
-                lane, t, y, h, nxt, target = (
-                    lane[keep], t[keep], y[:, keep], h[keep], nxt[keep], target[keep]
-                )
-
+                stop[:] = STATUS_MAX_STEPS
+                continue
+            t, y, h = s[0], s[1:4], s[4]
             h_try = np.minimum(h, target - t)
             y5, err = _attempt_lanes(code, k, a, b, y, h_try, rtol, atol)
             ok = ~(err > 1.0)
-            t = np.where(ok, t + h_try, t)
-            y = np.where(ok, y5, y)
+            floor = h < _H_FLOOR * np.maximum(1.0, np.abs(t))
+            if np.count_nonzero(floor):  # these lanes halt before their step, where they are
+                ok[floor] = False
+                stop[floor] = _floor_halt(y[0, floor], dom_lo, dom_hi)
+            np.copyto(t, t + h_try, where=ok)
+            np.copyto(y, y5, where=ok)
             # the step size of _new_h: at err = 0 the power is inf and clips to 5
             factor = np.minimum(np.maximum(0.9 * np.float_power(err, -0.2), 0.2), 5.0)
             factor[err == math.inf] = 0.5
-            h = np.minimum(h_try * factor, max_step)
-            left = ok & ((y[0] <= dom_lo + pad) | (y[0] >= dom_hi - pad))
-            if left.any():
-                status[lane[left]] = STATUS_DOMAIN_EXIT
-                keep = ~left
-                lane, t, y, h, nxt, target = (
-                    lane[keep], t[keep], y[:, keep], h[keep], nxt[keep], target[keep]
-                )
+            np.minimum(h_try * factor, max_step, out=h)
+            stop[ok & ((y[0] <= dom_lo + pad) | (y[0] >= dom_hi - pad))] = STATUS_DOMAIN_EXIT
 
     for j, i in enumerate(lane.tolist()):  # the last few lanes, each in the scalar stepper
         status[i] = _resume_at_times(
-            code, k, a, b, float(t[j]), float(y[0, j]), float(y[1, j]), float(y[2, j]),
-            float(h[j]), steps, int(nxt[j]), ts[i],
+            code, k, a, b, *s[:, j].tolist(), steps, int(nxt[j]), ts[i],
             rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y[i],
         )[1]
     return status

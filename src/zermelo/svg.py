@@ -13,6 +13,9 @@ import numpy as np
 
 __all__ = ["SvgFigure"]
 
+# figure size and inner margin, in pixels
+WIDTH, HEIGHT, MARGIN = 720, 540, 24
+
 _STYLE = """\
   polyline { fill: none; stroke-width: 1.5; }
   .abnormal { stroke: #1a9641; }
@@ -38,10 +41,7 @@ class _Layer:
 class SvgFigure:
     """Collects polylines and markers in data coordinates, renders to SVG text."""
 
-    def __init__(self, width: int = 720, height: int = 540, margin: int = 24):
-        self.width = int(width)
-        self.height = int(height)
-        self.margin = int(margin)
+    def __init__(self):
         self._layers: list[_Layer] = []
 
     def polyline(self, points, cls: str) -> None:
@@ -66,23 +66,23 @@ class SvgFigure:
     def render(self) -> str:
         if not self._layers:
             return (
-                f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-                f'height="{self.height}"></svg>\n'
+                f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+                f'height="{HEIGHT}"></svg>\n'
             )
         lo, span = self._bbox()
-        inner_w = self.width - 2 * self.margin
-        inner_h = self.height - 2 * self.margin
+        inner_w = WIDTH - 2 * MARGIN
+        inner_h = HEIGHT - 2 * MARGIN
         scale = min(inner_w / span[0], inner_h / span[1])
 
         def to_px(pts: np.ndarray) -> np.ndarray:
             out = np.empty_like(pts)
-            out[:, 0] = self.margin + (pts[:, 0] - lo[0]) * scale
-            out[:, 1] = self.height - self.margin - (pts[:, 1] - lo[1]) * scale
+            out[:, 0] = MARGIN + (pts[:, 0] - lo[0]) * scale
+            out[:, 1] = HEIGHT - MARGIN - (pts[:, 1] - lo[1]) * scale
             return out
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}">',
             f"<style>\n{_STYLE}</style>",
         ]
         for layer in self._layers:

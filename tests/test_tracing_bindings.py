@@ -6,8 +6,15 @@ name in the quick test suite, without a benchmark run.
 """
 
 import inspect
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from zermelo import _kernels, make_vortex
+from zermelo.flow import BOUNDARY_PAD, MAX_STEP, MAX_STEPS, STATUS_NAMES
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -32,3 +39,34 @@ def test_imported_bindings_are_called_by_their_module():
 def test_step_counter_target_and_backend_resolve():
     assert callable(tracing._kernels._attempt_step)
     assert tracing._kernels.BACKEND == "numpy"
+
+
+def test_at_times_argument_7_is_ts():
+    # the tracer counts targets as len(args[7])
+    assert list(inspect.signature(_kernels.rk45_at_times).parameters)[7] == "ts"
+
+
+@pytest.mark.parametrize(
+    "r0, tol, expected",
+    [
+        (0.5, 1e-10, _kernels.STATUS_OK),
+        # tol 1e-30: the step size falls below its floor, at and away from r = 0
+        (5e-4, 1e-30, _kernels.STATUS_DOMAIN_EXIT),
+        (0.01, 1e-30, _kernels.STATUS_STEP_COLLAPSE),
+    ],
+)
+def test_kernel_statuses_are_python_ints(r0, tol, expected):
+    # the statuses are dict keys of flow.STATUS_NAMES and the tracer's
+    # HALT_NAMES; a 0-d numpy array there would be unhashable
+    problem = make_vortex(1.0)
+    head = (problem.code, problem.k, problem.a, problem.b, r0, 0.0, 1.1)
+    step = (tol, tol, MAX_STEP, *problem.domain, BOUNDARY_PAD)
+    _, at_times = _kernels.rk45_at_times(
+        *head, np.array([0.0, 0.3]), *step, MAX_STEPS, np.full((2, 3), math.nan)
+    )
+    _, trajectory = _kernels.rk45_trajectory(
+        *head, 0.3, *step, np.empty(MAX_STEPS + 1), np.empty((MAX_STEPS + 1, 3))
+    )
+    for status in (at_times, trajectory):
+        assert type(status) is int and status == expected
+        assert status in STATUS_NAMES
