@@ -6,12 +6,23 @@ time-minimal: the sphere is recovered by filtering front points through the
 value function, and the small-time ball is the fan bounded by that sphere
 sector together with the two abnormal arcs.
 
-The value function itself is computed by two-stage shooting: a dense
-(heading x time) endpoint grid locates candidate arrivals, then a damped
-Newton iteration on the 2-d endpoint map polishes each candidate until it
-lands within ``position_tol`` of the target.  The minimal polished arrival
-time over all candidates is reported; a scan that finds nothing up to
-``t_max`` yields an unreachable marker, which is a value, not an error.
+The value function itself is computed by shooting: a dense (heading x
+time) endpoint grid locates candidate arrivals, then a damped Newton
+iteration on the 2-d endpoint map polishes each candidate until it lands
+within ``position_tol`` of the target.  The polish runs in two stages.
+Every candidate first iterates on the endpoint map integrated at the loose
+``COARSE_CONTROL`` until it lands within ``COARSE_LANDING`` (or
+``position_tol``, if larger); only the candidates that landed are then
+polished at the default control down to ``position_tol`` (inexact Newton:
+Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982).  Newton
+converges only linearly where the endpoint map folds, along the abnormal
+headings, so the slow candidates spend their many iterations on the cheap
+map.  A line-search trial past twice ``t_max`` is never integrated: it
+cannot give a value and would cost a long integration.  The minimal
+polished arrival time over all candidates is reported, with the Newton
+iterations of the achieving candidate over both stages (``n_newton``); a
+scan that finds nothing up to ``t_max`` yields an unreachable marker, which
+is a value, not an error.
 
 The grid indexes its nodes once in a uniform-grid spatial hash with one
 level per power of two of the nodes' capture radius (Teschner et al.,
@@ -80,6 +91,8 @@ ABNORMAL_MATCH_TOL = 1e-6  # heading gap to an abnormal that flags "via-abnormal
 N_FRONT_TIMES = 5  # wavefront times searched for separating points
 LOOP_BISECTIONS = 40  # bisection steps of loop_time_estimate
 LINE_SEARCH_STEPS = 20  # step halvings per Newton iteration
+COARSE_CONTROL = StepControl(1e-7)  # endpoint map of the first Newton stage
+COARSE_LANDING = 3e-5  # first-stage landing residual, >= 5x the coarse map's endpoint error
 HASH_BIN_BITS = 13  # bits of each bin coordinate in a hash key; sets the smallest bin
 HASH_NODE_BITS = 31  # bits of the node id at the bottom of a hash key
 HASH_CHUNK = 1 << 16  # nodes per chunk while the hash keys are built
@@ -210,6 +223,7 @@ class ValueSample:
     flag: str  # "interior" | "via-abnormal" | "unreachable"
     n_candidates: int = 0  # Newton lanes polished for this target
     residual: float = math.inf  # landing error of the achieving lane; inf if none landed
+    n_newton: int = 0  # Newton iterations of the achieving lane, both stages
 
     @property
     def reachable(self) -> bool:
@@ -332,30 +346,44 @@ def _candidate_nodes(grid: ShootingGrid, target):
     return np.stack(np.divmod(nodes, n_time), axis=-1)
 
 
-def _newton_polish(problem: ProblemDefinition, q0, targets, a0, t0, position_tol: float):
+def _newton_polish(
+    problem: ProblemDefinition,
+    q0,
+    targets,
+    a0,
+    t0,
+    position_tol: float,
+    t_max: float,
+    control: StepControl | None = None,
+):
     """Damped Newton on the 2-d endpoint map, one target per lane.
 
-    Lane ``i`` starts at ``(a0[i], t0[i])`` and aims at ``targets[i]``.  Each
-    lane keeps its own stopping state and step length, so its result does
-    not depend on the other lanes of the batch.  Returns (headings, times,
-    residuals): times clamped to [0, inf), residuals the final landing errors.
+    Lane ``i`` starts at ``(a0[i], t0[i])`` and aims at ``targets[i]``, on
+    the endpoint map integrated at ``control``.  Each lane keeps its own
+    stopping state and step length, so its result does not depend on the
+    other lanes of the batch.  A line-search trial past ``2 * t_max`` is not
+    integrated and counts as no better.  Returns (headings, times,
+    residuals, iterations): times clamped to [0, inf), residuals the final
+    landing errors, iterations the Newton steps each lane took.
     """
     targets = np.asarray(targets, dtype=float)
 
     def endpoint_batch(headings, times):
-        return endpoints(problem, q0, headings, times[:, None])[:, 0]
+        return endpoints(problem, q0, headings, times[:, None], control)[:, 0]
 
     al = np.asarray(a0, dtype=float).copy()
     tt = np.asarray(t0, dtype=float).copy()
     f = endpoint_batch(al, tt) - targets
     h = 1e-7
     done = np.zeros(al.shape[0], dtype=bool)
+    iterations = np.zeros(al.shape[0], dtype=int)
     for _ in range(MAX_NEWTON):
         norm = np.hypot(f[:, 0], f[:, 1])
         done |= norm <= position_tol
         ia = np.nonzero(~done & np.isfinite(norm))[0]
         if ia.shape[0] == 0:
             break
+        iterations[ia] += 1
         fa, ta = f[ia], targets[ia]
         # both Jacobian columns in one batch: the heading steps, then the time steps
         n_a = ia.shape[0]
@@ -373,7 +401,10 @@ def _newton_polish(problem: ProblemDefinition, q0, targets, a0, t0, position_tol
         for _ in range(LINE_SEARCH_STEPS):
             trial_al = al[ia] + lam * da
             trial_tt = np.maximum(tt[ia] + lam * dt, 0.0)
-            f_trial = endpoint_batch(trial_al, trial_tt) - targets[ia]
+            # a time far past the horizon costs a long integration and cannot be a value
+            fits = trial_tt <= 2.0 * t_max
+            f_trial = np.full((ia.shape[0], 2), np.inf)
+            f_trial[fits] = endpoint_batch(trial_al[fits], trial_tt[fits]) - targets[ia[fits]]
             better = np.hypot(f_trial[:, 0], f_trial[:, 1]) < norm[ia]
             sel = ia[better]
             al[sel], tt[sel], f[sel] = trial_al[better], trial_tt[better], f_trial[better]
@@ -382,7 +413,7 @@ def _newton_polish(problem: ProblemDefinition, q0, targets, a0, t0, position_tol
                 break
             lam *= 0.5
         done[ia] = True  # converged or stuck; final residual decides below
-    return al, tt, np.hypot(f[:, 0], f[:, 1])
+    return al, tt, np.hypot(f[:, 0], f[:, 1]), iterations
 
 
 def _value_samples(
@@ -420,10 +451,19 @@ def _value_samples(
     idx = np.concatenate([nodes for _, _, nodes in shots])
     counts = [nodes.shape[0] for _, _, nodes in shots]
     lane_targets = np.repeat([tgt for _, tgt, _ in shots], counts, axis=0)
-    al, tt, residual = _newton_polish(
-        problem, q0, lane_targets, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]],
-        config.position_tol,
-    )
+    al, tt = grid.alphas[idx[:, 0]], grid.times[idx[:, 1]]
+    residual = np.full(idx.shape[0], math.inf)
+    n_newton = np.zeros(idx.shape[0], dtype=int)
+    # stage 1 brings every lane near its target on the cheap coarse map; stage 2
+    # polishes only the lanes that landed, at the default control
+    active = np.arange(idx.shape[0])
+    landing = max(COARSE_LANDING, config.position_tol)
+    for control, tol in ((COARSE_CONTROL, landing), (None, config.position_tol)):
+        al[active], tt[active], residual[active], its = _newton_polish(
+            problem, q0, lane_targets[active], al[active], tt[active], tol, config.t_max, control
+        )
+        n_newton[active] += its
+        active = active[residual[active] <= tol]
     try:
         heads = abnormal_headings(problem, problem.radius_of(q0))
     except DomainError:
@@ -439,7 +479,7 @@ def _value_samples(
         via = any(abs(float(wrap_angle(heading - h))) <= ABNORMAL_MATCH_TOL for h in heads)
         samples[slot] = ValueSample(
             tgt, float(tt[best]), heading, "via-abnormal" if via else "interior",
-            lane.shape[0], float(residual[best]),
+            lane.shape[0], float(residual[best]), int(n_newton[best]),
         )
     return samples
 
@@ -451,7 +491,7 @@ def value_function(
     config: ShootingConfig | None = None,
     grid: ShootingGrid | None = None,
 ) -> ValueSample:
-    """Minimal transfer time from ``q0`` to ``target`` by two-stage shooting.
+    """Minimal transfer time from ``q0`` to ``target`` by shooting and Newton polish.
 
     Pass a prebuilt :class:`ShootingGrid` when evaluating many targets from
     the same start; the grid depends only on ``(problem, q0, config)``, and

@@ -25,7 +25,13 @@ from zermelo import (
 )
 from zermelo import make_powerlaw, reachability
 from zermelo.closedform import historical_positions
-from zermelo.reachability import MAX_NEWTON, _candidate_nodes, _value_samples, winding_number
+from zermelo.reachability import (
+    MAX_NEWTON,
+    _candidate_nodes,
+    _newton_polish,
+    _value_samples,
+    winding_number,
+)
 
 Q0_STRONG = (0.0, 2.0)
 Q0_WEAK = (0.0, 0.5)
@@ -263,6 +269,36 @@ def test_candidate_index_matches_full_scan(historical, vortex, family, q0, confi
     assert sizes[-3:] == [1, 1, 1]  # the nearest-node fallback
 
 
+def _vortex_case(vortex):
+    """Problem, start, config, grid, targets and fold-target indices of a vortex batch."""
+    q0 = (0.5, 0.0)
+    config = ShootingConfig(t_max=0.5, n_alpha=96, n_time=64)
+    heads = abnormal_headings(vortex, q0[0])
+    targets = [
+        exponential_map(vortex, q0, heads[0], 0.2),
+        (3.0, 0.0),
+        q0,
+        exponential_map(vortex, q0, 0.9, 0.3),
+        exponential_map(vortex, q0, heads[1], 0.1),
+    ]
+    return vortex, q0, config, build_shooting_grid(vortex, q0, config), targets, (0, 4)
+
+
+def _powerlaw_case():
+    """The powerlaw (1, -3, 1) counterpart of :func:`_vortex_case`."""
+    problem = make_powerlaw(1.0, -3.0, 1.0)
+    q0 = (0.5, 0.0)
+    config = ShootingConfig(t_max=0.6, n_alpha=96, n_time=64)
+    heads = abnormal_headings(problem, q0[0])
+    targets = [
+        exponential_map(problem, q0, heads[0], 0.1),
+        exponential_map(problem, q0, heads[1], 0.2),
+        exponential_map(problem, q0, 0.9, 0.3),
+        exponential_map(problem, q0, 2.0, 0.25),
+    ]
+    return problem, q0, config, build_shooting_grid(problem, q0, config), targets, (0, 1)
+
+
 def test_value_samples_batch_equals_singles(historical, vortex):
     config = ShootingConfig(t_max=3.0)
     grid = build_shooting_grid(historical, Q0_STRONG, config)
@@ -280,17 +316,7 @@ def test_value_samples_batch_equals_singles(historical, vortex):
     assert [s.flag for s in batch].count("unreachable") == 1
     assert batch[1].t_min == 0.0
 
-    q0 = (0.5, 0.0)
-    config = ShootingConfig(t_max=0.5, n_alpha=96, n_time=64)
-    grid = build_shooting_grid(vortex, q0, config)
-    heads = abnormal_headings(vortex, q0[0])
-    targets = [
-        exponential_map(vortex, q0, heads[0], 0.2),
-        (3.0, 0.0),
-        q0,
-        exponential_map(vortex, q0, 0.9, 0.3),
-        exponential_map(vortex, q0, heads[1], 0.1),
-    ]
+    _, q0, config, grid, targets, _ = _vortex_case(vortex)
     batch = _value_samples(vortex, q0, targets, config, grid)
     assert batch == [value_function(vortex, q0, tgt, config, grid) for tgt in targets]
     assert [s.reachable for s in batch] == [True, False, True, True, True]
@@ -299,20 +325,121 @@ def test_value_samples_batch_equals_singles(historical, vortex):
 def test_powerlaw_value_samples_batch_equals_singles():
     # powerlaw profiles are powers of r: equal results need the lane kernel
     # and the scalar stepper, which finishes its last lanes, to agree bit for bit
-    problem = make_powerlaw(1.0, -3.0, 1.0)
-    q0 = (0.5, 0.0)
-    config = ShootingConfig(t_max=0.6, n_alpha=96, n_time=64)
-    grid = build_shooting_grid(problem, q0, config)
-    heads = abnormal_headings(problem, q0[0])
-    targets = [
-        exponential_map(problem, q0, heads[0], 0.1),
-        exponential_map(problem, q0, heads[1], 0.2),
-        exponential_map(problem, q0, 0.9, 0.3),
-        exponential_map(problem, q0, 2.0, 0.25),
-    ]
+    problem, q0, config, grid, targets, _ = _powerlaw_case()
     batch = _value_samples(problem, q0, targets, config, grid)
     assert batch == [value_function(problem, q0, tgt, config, grid) for tgt in targets]
     assert all(s.reachable for s in batch)
+
+
+def _one_stage(problem, q0, targets, config, grid):
+    """Per target (t_min, heading0, Newton iterations) from one Newton batch at the default control.
+
+    The reference of the two-stage polish: every candidate of every target
+    iterates on the default-control endpoint map straight to ``position_tol``.
+    """
+    counts = [_candidate_nodes(grid, tgt).shape[0] for tgt in targets]
+    nodes = np.concatenate([_candidate_nodes(grid, tgt) for tgt in targets])
+    lane_targets = np.repeat(np.asarray(targets, dtype=float), counts, axis=0)
+    al, tt, residual, its = _newton_polish(
+        problem, q0, lane_targets, grid.alphas[nodes[:, 0]], grid.times[nodes[:, 1]],
+        config.position_tol, config.t_max,
+    )
+    out = []
+    for lane in np.split(np.arange(nodes.shape[0]), np.cumsum(counts)[:-1]):
+        valid = lane[(residual[lane] <= config.position_tol) & (tt[lane] <= config.t_max + 1e-9)]
+        if valid.shape[0] == 0:
+            out.append((math.inf, None, 0))
+            continue
+        best = valid[np.argmin(tt[valid])]
+        out.append((float(tt[best]), float(reachability.wrap_angle(al[best])), int(its[best])))
+    return out
+
+
+@pytest.mark.parametrize("family", ["vortex", "powerlaw"])
+def test_two_stage_polish_matches_one_stage(vortex, family):
+    problem, q0, config, grid, targets, folds = (
+        _vortex_case(vortex) if family == "vortex" else _powerlaw_case()
+    )
+    moving = [i for i, tgt in enumerate(targets) if tgt != q0]
+    samples = _value_samples(problem, q0, [targets[i] for i in moving], config, grid)
+    reference = _one_stage(problem, q0, [targets[i] for i in moving], config, grid)
+    assert [s.reachable for s in samples] == [math.isfinite(t) for t, _, _ in reference]
+    assert any(s.reachable for s in samples)
+    for i, sample, (t_ref, _, _) in zip(moving, samples, reference):
+        if sample.reachable:
+            # the endpoint map folds along the abnormal headings: Newton stops
+            # anywhere in a sqrt(position_tol)-wide time window there
+            assert abs(sample.t_min - t_ref) <= (1e-6 if i in folds else 1e-8)
+
+
+def test_second_stage_polishes_only_landed_lanes(vortex, monkeypatch):
+    problem, q0, config, grid, targets, _ = _vortex_case(vortex)
+    calls = []
+    real = reachability._newton_polish
+
+    def spy(problem, q0, targets, a0, t0, position_tol, t_max, control=None):
+        result = real(problem, q0, targets, a0, t0, position_tol, t_max, control)
+        calls.append((np.array(targets), np.array(a0), np.array(t0), position_tol, control, result))
+        return result
+
+    monkeypatch.setattr(reachability, "_newton_polish", spy)
+    _value_samples(problem, q0, targets, config, grid)
+    (targets_1, _, _, tol_1, control_1, (al, tt, residual, _)), second = calls
+    assert control_1 == reachability.COARSE_CONTROL
+    assert tol_1 == max(reachability.COARSE_LANDING, config.position_tol)
+    landed = residual <= tol_1
+    assert 0 < np.count_nonzero(landed) < landed.shape[0]
+    targets_2, a0_2, t0_2, tol_2, control_2, _ = second
+    assert (tol_2, control_2) == (config.position_tol, None)
+    for got, want in ((targets_2, targets_1), (a0_2, al), (t0_2, tt)):
+        np.testing.assert_array_equal(got, want[landed])
+
+
+def test_loose_landing_tolerance_still_lands(vortex):
+    # a position_tol above COARSE_LANDING makes both stages stop at position_tol
+    q0 = (0.5, 0.0)
+    config = ShootingConfig(t_max=0.5, n_alpha=96, n_time=64, position_tol=1e-4)
+    assert config.position_tol > reachability.COARSE_LANDING
+    target = exponential_map(vortex, q0, 0.9, 0.3)
+    sample = value_function(vortex, q0, target, config)
+    assert sample.reachable and sample.residual <= config.position_tol
+    landed = exponential_map(vortex, q0, sample.heading0, sample.t_min)
+    assert math.hypot(landed[0] - target[0], landed[1] - target[1]) <= config.position_tol
+
+
+def test_value_sample_counts_newton_iterations(historical):
+    # the closed form ignores the step control, so the two stages iterate as
+    # one Newton run would, and the counts add up to that run's
+    config = ShootingConfig(t_max=3.0)
+    grid = build_shooting_grid(historical, Q0_STRONG, config)
+    targets = [exponential_map(historical, Q0_STRONG, 0.3, 0.7), abnormal_point(0.4)]
+    samples = _value_samples(historical, Q0_STRONG, targets, config, grid)
+    for sample, (t_ref, heading_ref, its) in zip(
+        samples, _one_stage(historical, Q0_STRONG, targets, config, grid)
+    ):
+        assert sample.n_newton == its >= 1
+        assert sample.t_min == t_ref and sample.heading0 == heading_ref
+    for still in (Q0_STRONG, (-40.0, 2.0)):  # the start point; an unreachable target
+        assert value_function(historical, Q0_STRONG, still, config, grid).n_newton == 0
+
+
+def test_newton_trials_stay_below_twice_t_max(vortex, monkeypatch):
+    # one candidate whose first Newton step asks for t ~ 1e5: integrating that
+    # trial and its halvings costs seconds, and the target is out of reach anyway
+    q0 = (0.5, 0.0)
+    config = ShootingConfig(t_max=0.5, n_alpha=240, n_time=160)
+    grid = build_shooting_grid(vortex, q0, config)
+    asked = []
+    real = reachability.endpoints
+
+    def spy(problem, q0, headings, ts, control=None):
+        asked.append(float(np.max(ts, initial=0.0)))
+        return real(problem, q0, headings, ts, control)
+
+    monkeypatch.setattr(reachability, "endpoints", spy)
+    sample = value_function(vortex, q0, (0.6, 0.2), config, grid)
+    assert sample.flag == "unreachable"
+    assert asked and max(asked) <= 2.0 * config.t_max
 
 
 @pytest.mark.parametrize("n_samples", [20, 80])
