@@ -17,12 +17,18 @@ polished at the default control down to ``position_tol`` (inexact Newton:
 Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982).  Newton
 converges only linearly where the endpoint map folds, along the abnormal
 headings, so the slow candidates spend their many iterations on the cheap
-map.  A line-search trial past twice ``t_max`` is never integrated: it
-cannot give a value and would cost a long integration.  The minimal
-polished arrival time over all candidates is reported, with the Newton
-iterations of the achieving candidate over both stages (``n_newton``); a
-scan that finds nothing up to ``t_max`` yields an unreachable marker, which
-is a value, not an error.
+map.  The backtracking line search (Dennis and Schnabel, "Numerical Methods
+for Unconstrained Optimization and Nonlinear Equations", 1983, section 6.3)
+tries the step lengths 1, 1/2, 1/4, ... in doubling blocks of 1, 1, 2, 4,
+... lengths, one ``endpoints`` batch per block, and each lane takes the
+first length that lowers its residual.  The lengths are exact powers of two
+and a lane's endpoint does not depend on its batch, so every iterate is
+bit-identical to halving one length per batch.  A line-search trial past
+twice ``t_max`` is never integrated: it cannot give a value and would cost
+a long integration.  The minimal polished arrival time over all candidates
+is reported, with the Newton iterations of the achieving candidate over
+both stages (``n_newton``); a scan that finds nothing up to ``t_max``
+yields an unreachable marker, which is a value, not an error.
 
 The grid indexes its nodes once in a uniform-grid spatial hash with one
 level per power of two of the nodes' capture radius (Teschner et al.,
@@ -90,7 +96,7 @@ MAX_CANDIDATES = 200  # candidates polished per target, nearest first
 ABNORMAL_MATCH_TOL = 1e-6  # heading gap to an abnormal that flags "via-abnormal"
 N_FRONT_TIMES = 5  # wavefront times searched for separating points
 LOOP_BISECTIONS = 40  # bisection steps of loop_time_estimate
-LINE_SEARCH_STEPS = 20  # step halvings per Newton iteration
+LINE_SEARCH_STEPS = 20  # step lengths 0.5**i tried per Newton iteration
 COARSE_CONTROL = StepControl(1e-7)  # endpoint map of the first Newton stage
 COARSE_LANDING = 3e-5  # first-stage landing residual, >= 5x the coarse map's endpoint error
 HASH_BIN_BITS = 13  # bits of each bin coordinate in a hash key; sets the smallest bin
@@ -117,15 +123,29 @@ class ShootingConfig:
 def _local_cell(positions: np.ndarray) -> np.ndarray:
     """Per node, the larger endpoint step to the previous heading or the next time.
 
-    Steps that touch a nan node count as 0.
+    Steps that touch a nan node count as 0.  The heading step is
+    ``sqrt(dx*dx + dy*dy)``, the sum ``np.linalg.norm`` takes, and the time
+    step ``max(|dx|, |dy|)``; both are formed one coordinate plane at a time
+    in place, so the work arrays stay plane-sized.
     """
-    step_a = np.linalg.norm(positions - np.roll(positions, 1, axis=0), axis=-1)
-    step_t = np.abs(np.diff(positions, axis=1)).max(axis=-1)
-    step_t = np.concatenate((step_t, step_t[:, -1:]), axis=1)
-    return np.fmax(
-        np.where(np.isfinite(step_a), step_a, 0.0),
-        np.where(np.isfinite(step_t), step_t, 0.0),
-    )
+    x, y = positions[..., 0], positions[..., 1]
+    cell = np.empty(x.shape)
+    buf = np.empty(x.shape)
+    for plane, out in ((x, cell), (y, buf)):  # step to the previous heading, which wraps
+        np.subtract(plane[1:], plane[:-1], out=out[1:])
+        np.subtract(plane[0], plane[-1], out=out[0])
+        np.multiply(out, out, out=out)
+    cell += buf
+    np.sqrt(cell, out=cell)
+    cell[~np.isfinite(cell)] = 0.0
+    step_t = buf[:, :-1]  # step to the next time; the last time repeats the one before
+    np.subtract(x[:, 1:], x[:, :-1], out=step_t)
+    np.abs(step_t, out=step_t)
+    dy = np.subtract(y[:, 1:], y[:, :-1])
+    np.maximum(step_t, np.abs(dy, out=dy), out=step_t)  # nan propagates, as in max
+    buf[:, -1] = buf[:, -2]
+    buf[~np.isfinite(buf)] = 0.0
+    return np.fmax(cell, buf, out=cell)
 
 
 @dataclass(frozen=True)
@@ -147,19 +167,25 @@ class _RadiusHash:
     keys: np.ndarray  # (n_node,) sorted packed keys
 
     @staticmethod
-    def _bin_key(level, bins) -> np.ndarray:
-        key = (level << HASH_BIN_BITS | bins[..., 0]) << HASH_BIN_BITS | bins[..., 1]
+    def _bin_key(level, bin_x, bin_y) -> np.ndarray:
+        key = (level << HASH_BIN_BITS | bin_x) << HASH_BIN_BITS | bin_y
         return key << HASH_NODE_BITS
 
     @classmethod
     def build(cls, grid: ShootingGrid) -> _RadiusHash:
-        """Hash the grid's finite nodes by position and capture radius, in chunks."""
+        """Hash the grid's finite nodes by position and capture radius, in chunks.
+
+        A bin coordinate is ``floor(ldexp(x, -c))``: scaling by a power of
+        two is exact, so it equals ``floor(x / 2**c)``, the form ``near`` uses.
+        """
         flat = grid.positions.reshape(-1, 2)
-        ids = np.nonzero(np.isfinite(flat[:, 0]) & np.isfinite(flat[:, 1]))[0]
+        finite = np.isfinite(flat[:, 0]) & np.isfinite(flat[:, 1])
+        ids = np.nonzero(finite)[0]
         if ids.shape[0] == 0:
             return cls(ids, np.ones(0), np.zeros((0, 2)), ids)
-        lo = np.array([flat[ids, 0].min(), flat[ids, 1].min()])
-        extent = max(flat[ids, 0].max() - lo[0], flat[ids, 1].max() - lo[1])
+        lo = [float(flat[:, c].min(where=finite, initial=math.inf)) for c in (0, 1)]
+        hi = [float(flat[:, c].max(where=finite, initial=-math.inf)) for c in (0, 1)]
+        extent = max(hi[0] - lo[0], hi[1] - lo[1])
         floor = math.ldexp(extent if extent > 0.0 else 1.0, 1 - HASH_BIN_BITS)
         first = math.frexp(floor)[1]  # class of the floor, the smallest one
         keys = np.empty(ids.shape[0], dtype=np.int64)
@@ -167,15 +193,18 @@ class _RadiusHash:
         for start in range(0, ids.shape[0], HASH_CHUNK):
             part = ids[start : start + HASH_CHUNK]
             exps = np.frexp(np.fmax(grid.capture_radius(part), floor))[1]
-            size = np.ldexp(1.0, exps)[:, None]
-            bins = np.floor(flat[part] / size) - np.floor(lo / size)
             level = exps.astype(np.int64) - first
-            keys[start : start + HASH_CHUNK] = cls._bin_key(level, bins.astype(np.int64)) | part
+            bins = [
+                (np.floor(np.ldexp(flat[part, c], -exps)) - np.floor(np.ldexp(lo[c], -exps)))
+                .astype(np.int64)
+                for c in (0, 1)
+            ]
+            keys[start : start + HASH_CHUNK] = cls._bin_key(level, *bins) | part
             bottom, top = min(bottom, int(level.min())), max(top, int(level.max()))
         keys.sort()
         levels = np.arange(bottom, top + 1)
         sizes = np.ldexp(1.0, first + levels)
-        return cls(levels, sizes, np.floor(lo / sizes[:, None]), keys)
+        return cls(levels, sizes, np.floor(np.array(lo) / sizes[:, None]), keys)
 
     def near(self, x: float, y: float) -> np.ndarray:
         """Ids of the nodes in the 3x3 bins around ``(x, y)`` of every class."""
@@ -186,7 +215,7 @@ class _RadiusHash:
         qx, qy = np.broadcast_arrays(qx, qy)
         level = np.broadcast_to(self.levels[:, None, None], qx.shape)
         ok = (np.fmin(qx, qy) >= 0.0) & (np.fmax(qx, qy) < 2.0**HASH_BIN_BITS)
-        query = self._bin_key(level[ok], np.stack((qx[ok], qy[ok]), axis=-1).astype(np.int64))
+        query = self._bin_key(level[ok], qx[ok].astype(np.int64), qy[ok].astype(np.int64))
         lo, hi = np.searchsorted(self.keys, np.stack((query, query + (1 << HASH_NODE_BITS))))
         counts = hi - lo
         shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
@@ -317,26 +346,30 @@ def _candidate_nodes(grid: ShootingGrid, target):
     """
     tx, ty = float(target[0]), float(target[1])
     n_alpha, n_time = grid.cell.shape
+    n_node = n_alpha * n_time
     flat = grid.positions.reshape(-1, 2)
+    xs, ys = flat[:, 0], flat[:, 1]  # strided views: a 1-d gather from each beats a row gather
 
     def distance(nodes):
-        d = np.hypot(flat[nodes, 0] - tx, flat[nodes, 1] - ty)
+        d = np.hypot(xs[nodes] - tx, ys[nodes] - ty)
         return np.where(np.isfinite(d), d, np.inf)
 
     nodes = grid.index.near(tx, ty)
     d = distance(nodes)
-    near = d <= grid.capture_radius(nodes)
-    nodes, d = nodes[near], d[near]
-    row, col = np.divmod(nodes, n_time)
-    neighbours = np.concatenate((
-        (row + 1) % n_alpha * n_time + col,
-        (row - 1) % n_alpha * n_time + col,
-        nodes - (col > 0),  # a node at the first or last time meets itself
-        nodes + (col < n_time - 1),
-    ))
-    local = np.all(d <= distance(neighbours).reshape(4, -1), axis=0)
-    order = np.argsort(nodes[local])
-    nodes, d = nodes[local][order], d[local][order]
+    keep = d <= grid.capture_radius(nodes)
+    nodes, d = nodes[keep], d[keep]
+    # each test keeps the nodes no farther than one neighbour; the heading
+    # neighbours reject most, so the time neighbours see only the survivors
+    for neighbour in (
+        lambda v: (v + n_time) % n_node,
+        lambda v: (v - n_time) % n_node,
+        lambda v: v - (v % n_time > 0),  # a node at the first or last time meets itself
+        lambda v: v + (v % n_time < n_time - 1),
+    ):
+        keep = d <= distance(neighbour(nodes))
+        nodes, d = nodes[keep], d[keep]
+    order = np.argsort(nodes)
+    nodes, d = nodes[order], d[order]
     if nodes.shape[0] == 0:
         d = distance(slice(None))
         if np.any(np.isfinite(d)):
@@ -361,10 +394,16 @@ def _newton_polish(
     Lane ``i`` starts at ``(a0[i], t0[i])`` and aims at ``targets[i]``, on
     the endpoint map integrated at ``control``.  Each lane keeps its own
     stopping state and step length, so its result does not depend on the
-    other lanes of the batch.  A line-search trial past ``2 * t_max`` is not
-    integrated and counts as no better.  Returns (headings, times,
-    residuals, iterations): times clamped to [0, inf), residuals the final
-    landing errors, iterations the Newton steps each lane took.
+    other lanes of the batch.  The line search tries the step lengths
+    ``0.5**i``, i < ``LINE_SEARCH_STEPS``, in blocks of 1, 1, 2, 4, ...
+    lengths, one endpoint batch per block (6 batches for the 20 lengths),
+    and a lane takes the first length in its block that lowers its
+    residual.  That is the iterate halving one length per batch would give:
+    the lengths are exact and a lane's endpoint does not depend on its
+    batch.  A line-search trial past ``2 * t_max`` is not integrated and
+    counts as no better.  Returns (headings, times, residuals, iterations):
+    times clamped to [0, inf), residuals the final landing errors,
+    iterations the Newton steps each lane took.
     """
     targets = np.asarray(targets, dtype=float)
 
@@ -397,21 +436,27 @@ def _newton_polish(
         with np.errstate(divide="ignore", invalid="ignore"):
             da = np.where(ok, (-fa[:, 0] * jt[:, 1] + fa[:, 1] * jt[:, 0]) / det, 0.0)
             dt = np.where(ok, (-ja[:, 0] * fa[:, 1] + ja[:, 1] * fa[:, 0]) / det, 0.0)
-        lam = 1.0  # shared by the lanes still waiting for a step that lowers their residual
-        for _ in range(LINE_SEARCH_STEPS):
-            trial_al = al[ia] + lam * da
-            trial_tt = np.maximum(tt[ia] + lam * dt, 0.0)
+        start = 0  # first step-length exponent of the next block
+        while ia.shape[0] > 0 and start < LINE_SEARCH_STEPS:
+            stop = min(max(2 * start, 1), LINE_SEARCH_STEPS)
+            lam = np.ldexp(1.0, -np.arange(start, stop))
+            trial_al = al[ia, None] + lam * da[:, None]
+            trial_tt = np.maximum(tt[ia, None] + lam * dt[:, None], 0.0)
             # a time far past the horizon costs a long integration and cannot be a value
             fits = trial_tt <= 2.0 * t_max
-            f_trial = np.full((ia.shape[0], 2), np.inf)
-            f_trial[fits] = endpoint_batch(trial_al[fits], trial_tt[fits]) - targets[ia[fits]]
-            better = np.hypot(f_trial[:, 0], f_trial[:, 1]) < norm[ia]
-            sel = ia[better]
-            al[sel], tt[sel], f[sel] = trial_al[better], trial_tt[better], f_trial[better]
-            ia, da, dt = ia[~better], da[~better], dt[~better]
-            if ia.shape[0] == 0:
-                break
-            lam *= 0.5
+            f_trial = np.full(trial_al.shape + (2,), np.inf)
+            f_trial[fits] = (
+                endpoint_batch(trial_al[fits], trial_tt[fits])
+                - np.broadcast_to(targets[ia, None], f_trial.shape)[fits]
+            )
+            better = np.hypot(f_trial[..., 0], f_trial[..., 1]) < norm[ia, None]
+            hit = better.any(axis=1)
+            first = better[hit].argmax(axis=1)
+            sel = ia[hit]
+            al[sel], tt[sel] = trial_al[hit, first], trial_tt[hit, first]
+            f[sel] = f_trial[hit, first]
+            ia, da, dt = ia[~hit], da[~hit], dt[~hit]
+            start = stop
         done[ia] = True  # converged or stuck; final residual decides below
     return al, tt, np.hypot(f[:, 0], f[:, 1]), iterations
 

@@ -1,6 +1,7 @@
 """Wavefronts, spheres, shooting, discontinuity scan, cut locus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from zermelo import (
 from zermelo import make_powerlaw, reachability
 from zermelo.closedform import historical_positions
 from zermelo.reachability import (
+    LINE_SEARCH_STEPS,
     MAX_NEWTON,
     _candidate_nodes,
+    _local_cell,
     _newton_polish,
     _value_samples,
     winding_number,
@@ -269,6 +272,68 @@ def test_candidate_index_matches_full_scan(historical, vortex, family, q0, confi
     assert sizes[-3:] == [1, 1, 1]  # the nearest-node fallback
 
 
+def _roll_local_cell(positions):
+    """``np.roll`` / ``np.linalg.norm`` form of the local cell: the oracle of ``_local_cell``."""
+    step_a = np.linalg.norm(positions - np.roll(positions, 1, axis=0), axis=-1)
+    step_t = np.abs(np.diff(positions, axis=1)).max(axis=-1)
+    step_t = np.concatenate((step_t, step_t[:, -1:]), axis=1)
+    return np.fmax(
+        np.where(np.isfinite(step_a), step_a, 0.0),
+        np.where(np.isfinite(step_t), step_t, 0.0),
+    )
+
+
+def _division_keys(grid):
+    """Sorted hash keys with bins ``floor(x / 2**c)``: the oracle of the ``ldexp`` bins."""
+    flat = grid.positions.reshape(-1, 2)
+    ids = np.nonzero(np.isfinite(flat[:, 0]) & np.isfinite(flat[:, 1]))[0]
+    pos = flat[ids]
+    lo = pos.min(axis=0)
+    extent = float((pos.max(axis=0) - lo).max())
+    floor = math.ldexp(extent if extent > 0.0 else 1.0, 1 - reachability.HASH_BIN_BITS)
+    exps = np.frexp(np.fmax(grid.capture_radius(ids), floor))[1]
+    size = np.ldexp(1.0, exps)[:, None]
+    bins = (np.floor(pos / size) - np.floor(lo / size)).astype(np.int64)
+    key = exps.astype(np.int64) - math.frexp(floor)[1]
+    for column in (0, 1):
+        key = key << reachability.HASH_BIN_BITS | bins[:, column]
+    return np.sort(key << reachability.HASH_NODE_BITS | ids)
+
+
+@pytest.mark.parametrize(
+    "family, q0, config",
+    [
+        ("historical", Q0_STRONG, ShootingConfig()),
+        ("historical", Q0_WEAK, ShootingConfig()),
+        ("vortex", (0.15, 0.0), ShootingConfig(t_max=0.4, n_alpha=64, n_time=64)),
+        ("powerlaw", (0.5, 0.0), ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)),
+        ("historical", Q0_STRONG, ShootingConfig(n_time=8)),
+    ],
+)
+def test_grid_index_matches_reference_forms(historical, vortex, family, q0, config):
+    problem = {
+        "historical": historical, "vortex": vortex, "powerlaw": make_powerlaw(1.0, -3.0, 1.0)
+    }[family]
+    grid = build_shooting_grid(problem, q0, config)
+    if family != "historical":
+        assert np.isnan(grid.positions).any()  # steps that touch a nan node count as 0
+    np.testing.assert_array_equal(_local_cell(grid.positions), _roll_local_cell(grid.positions))
+    np.testing.assert_array_equal(grid.index.keys, _division_keys(grid))
+
+
+def test_local_cell_works_in_plane_sized_arrays(historical):
+    grid = build_shooting_grid(historical, Q0_STRONG, ShootingConfig())
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        _local_cell(grid.positions)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    # the result and two work planes; the np.roll form peaks at six planes
+    assert peak <= 5 * grid.cell.size * 8
+
+
 def _vortex_case(vortex):
     """Problem, start, config, grid, targets and fold-target indices of a vortex batch."""
     q0 = (0.5, 0.0)
@@ -440,6 +505,98 @@ def test_newton_trials_stay_below_twice_t_max(vortex, monkeypatch):
     sample = value_function(vortex, q0, (0.6, 0.2), config, grid)
     assert sample.flag == "unreachable"
     assert asked and max(asked) <= 2.0 * config.t_max
+
+
+def _halving_polish(problem, q0, targets, a0, t0, position_tol, t_max, control=None):
+    """``_newton_polish`` with one step halving per ``endpoints`` batch: the line-search oracle."""
+    targets = np.asarray(targets, dtype=float)
+
+    def endpoint_batch(headings, times):
+        return reachability.endpoints(problem, q0, headings, times[:, None], control)[:, 0]
+
+    al = np.asarray(a0, dtype=float).copy()
+    tt = np.asarray(t0, dtype=float).copy()
+    f = endpoint_batch(al, tt) - targets
+    h = 1e-7
+    done = np.zeros(al.shape[0], dtype=bool)
+    iterations = np.zeros(al.shape[0], dtype=int)
+    for _ in range(MAX_NEWTON):
+        norm = np.hypot(f[:, 0], f[:, 1])
+        done |= norm <= position_tol
+        ia = np.nonzero(~done & np.isfinite(norm))[0]
+        if ia.shape[0] == 0:
+            break
+        iterations[ia] += 1
+        fa, ta = f[ia], targets[ia]
+        n_a = ia.shape[0]
+        shifted = endpoint_batch(
+            np.concatenate((al[ia] + h, al[ia])), np.concatenate((tt[ia], tt[ia] + h))
+        )
+        ja = (shifted[:n_a] - ta - fa) / h
+        jt = (shifted[n_a:] - ta - fa) / h
+        det = ja[:, 0] * jt[:, 1] - ja[:, 1] * jt[:, 0]
+        ok = np.abs(det) > 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            da = np.where(ok, (-fa[:, 0] * jt[:, 1] + fa[:, 1] * jt[:, 0]) / det, 0.0)
+            dt = np.where(ok, (-ja[:, 0] * fa[:, 1] + ja[:, 1] * fa[:, 0]) / det, 0.0)
+        lam = 1.0
+        for _ in range(LINE_SEARCH_STEPS):
+            trial_al = al[ia] + lam * da
+            trial_tt = np.maximum(tt[ia] + lam * dt, 0.0)
+            fits = trial_tt <= 2.0 * t_max
+            f_trial = np.full((ia.shape[0], 2), np.inf)
+            f_trial[fits] = endpoint_batch(trial_al[fits], trial_tt[fits]) - targets[ia[fits]]
+            better = np.hypot(f_trial[:, 0], f_trial[:, 1]) < norm[ia]
+            sel = ia[better]
+            al[sel], tt[sel], f[sel] = trial_al[better], trial_tt[better], f_trial[better]
+            ia, da, dt = ia[~better], da[~better], dt[~better]
+            if ia.shape[0] == 0:
+                break
+            lam *= 0.5
+        done[ia] = True
+    return al, tt, np.hypot(f[:, 0], f[:, 1]), iterations
+
+
+@pytest.mark.parametrize("case", ["value-segment", "unit-current", "vortex", "powerlaw"])
+def test_block_line_search_matches_halving(historical, vortex, monkeypatch, case):
+    if case in ("vortex", "powerlaw"):
+        problem, q0, config, grid, targets, _ = (
+            _vortex_case(vortex) if case == "vortex" else _powerlaw_case()
+        )
+        targets = [tgt for tgt in targets if tgt != q0]
+    else:
+        problem, config = historical, ShootingConfig()
+        if case == "value-segment":  # the README value command: its lanes halve up to 19 times
+            q0 = Q0_STRONG
+            a, b = np.array([1.039, 1.298]), np.array([0.879, 1.180])
+            targets = a + np.linspace(0.0, 1.0, 40)[:, None] * (b - a)
+        else:  # on the strong/weak boundary some lanes run all MAX_NEWTON iterations
+            q0 = (0.0, 1.0)
+            targets = wavefront(historical, q0, 0.3, 16).positions
+        grid = build_shooting_grid(problem, q0, config)
+    nodes = [_candidate_nodes(grid, tgt) for tgt in targets]
+    idx = np.concatenate(nodes)
+    lane_targets = np.repeat(np.asarray(targets, dtype=float), [n.shape[0] for n in nodes], axis=0)
+    args = (
+        problem, q0, lane_targets, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]],
+        config.position_tol, config.t_max,
+    )
+    reference = _halving_polish(*args)
+    calls = []
+    real = reachability.endpoints
+
+    def spy(*call_args, **kwargs):
+        calls.append(1)
+        return real(*call_args, **kwargs)
+
+    monkeypatch.setattr(reachability, "endpoints", spy)
+    result = _newton_polish(*args)
+    for got, want in zip(result, reference):  # headings, times, residuals, iterations
+        np.testing.assert_array_equal(got, want)
+    # one initial batch, then per iteration the Jacobian and at most 6 trial blocks
+    assert len(calls) <= 1 + int(result[3].max()) * (1 + 6)
+    if case == "unit-current":
+        assert np.any(result[3] == MAX_NEWTON)
 
 
 @pytest.mark.parametrize("n_samples", [20, 80])
