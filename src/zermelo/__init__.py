@@ -18,7 +18,6 @@ from .flow import (
     StepControl,
     closed_form_trajectory,
     endpoints,
-    exponential_map,
     extended_rhs,
     first_integral_residuals,
     integrate_closed_form_historical,
@@ -51,7 +50,6 @@ from .reachability import (
     build_shooting_grid,
     cut_locus_estimate,
     discontinuity_scan,
-    loop_time_estimate,
     self_intersections,
     sphere_and_ball,
     value_function,

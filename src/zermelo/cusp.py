@@ -4,10 +4,10 @@ An abnormal geodesic can develop a cusp: an interior time where the position
 velocity vanishes and the curve reverses.  For the linear-shear problem the
 cusp is analytic -- it occurs at ``t = tan(gamma_0)`` with the heading at
 0 mod pi and the height driven onto the strong/weak boundary ``|y| = 1``.
-For a general problem the cusp is located numerically as a zero of the
-position speed, which is nonnegative and has a locally quadratic square, so
-the search brackets a speed minimum and refines by bisection on the sign of
-the derivative of the squared speed.
+For a general problem the cusp is located numerically.  On an abnormal
+``sin(alpha) = -1/(m mu)``, so the radial velocity ``cos(alpha)`` can vanish
+only where ``|m mu| = 1``, on the strong/weak boundary, and the position
+speed is zero there: the first sign change of ``cos(alpha)`` is the cusp.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import ExtremalTag, classify
-from .flow import GeodesicTrajectory, integrate_numeric, position_speed, state_at
+from .brackets import ExtremalTag, abnormal_headings, classify
+from .flow import integrate_numeric, position_speed, state_at
 from . import closedform
-from .problems import ExtendedState, ProblemDefinition, make_historical
+from .problems import ExtendedState, ProblemDefinition, make_historical, wrap_angle
 
 __all__ = ["CuspPoint", "NotAbnormalError", "cusp_historical", "cusp_numeric"]
 
-SPEED_THRESHOLD = 1e-8
 REFINE_WIDTH = 1e-12
 
 
@@ -38,13 +37,15 @@ class CuspPoint:
 
     At a cusp both position derivatives vanish; for the linear-shear problem
     the heading there is 0 mod pi and the position sits on the strong/weak
-    boundary.
+    boundary.  ``speed`` is the position speed at the located point, the
+    residual of a numeric search (0 for the analytic cusp).
     """
 
     t_cusp: float
     position: tuple[float, float]
     heading: float
     source: str  # "analytic" | "numeric"
+    speed: float = 0.0
 
 
 def _require_abnormal(problem: ProblemDefinition, state: ExtendedState, tol: float) -> None:
@@ -72,12 +73,6 @@ def cusp_historical(state0: ExtendedState, tol: float = 1e-9) -> CuspPoint | Non
     return CuspPoint(t_cusp, (end.c1, y_cusp), heading, "analytic")
 
 
-def _speed_sq_slope(traj: GeodesicTrajectory, t: float, h: float) -> float:
-    sp_plus = position_speed(traj.problem, state_at(traj, min(t + h, traj.t_end)))
-    sp_minus = position_speed(traj.problem, state_at(traj, max(t - h, 0.0)))
-    return sp_plus * sp_plus - sp_minus * sp_minus
-
-
 def cusp_numeric(
     problem: ProblemDefinition,
     state0: ExtendedState,
@@ -86,31 +81,36 @@ def cusp_numeric(
 ) -> CuspPoint | None:
     """First forward cusp of an abnormal geodesic, located numerically.
 
-    Integrates to ``t_max`` (a domain exit just truncates the scan), walks
-    the speed samples for interior minima, refines each bracket by bisection
-    on the sign of d(speed^2)/dt down to 1e-12 in t, and accepts the first
-    refined minimum whose speed falls below 1e-8.
+    Replaces the heading by the nearest exact abnormal heading at the start
+    radius, integrates to ``t_max`` (a domain exit just truncates the scan),
+    brackets the first sign change of the radial velocity ``cos(alpha)``
+    between stored steps and bisects on its sign down to 1e-12 in t.
+    Returns ``None`` when the radial velocity keeps its sign, or when no
+    abnormal heading exists at the start radius.
     """
     _require_abnormal(problem, state0, tol)
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    traj = integrate_numeric(problem, state0, t_max)
-    speeds = np.array([position_speed(problem, traj.state(i)) for i in range(len(traj))])
-    for i in range(1, len(traj) - 1):
-        if not (speeds[i] < speeds[i - 1] and speeds[i] <= speeds[i + 1]):
-            continue
-        lo, hi = float(traj.t[i - 1]), float(traj.t[i + 1])
-        fd_h = 1e-7 * max(1.0, hi)
-        if _speed_sq_slope(traj, lo, fd_h) > 0.0 or _speed_sq_slope(traj, hi, fd_h) < 0.0:
-            continue  # not a genuine interior minimum of the squared speed
-        while hi - lo > REFINE_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if _speed_sq_slope(traj, mid, fd_h) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_star = 0.5 * (lo + hi)
-        state = state_at(traj, t_star)
-        if position_speed(problem, state) <= SPEED_THRESHOLD:
-            return CuspPoint(t_star, state.position, state.heading, "numeric")
-    return None
+    heads = abnormal_headings(problem, problem.radius_of(state0.position))
+    if not heads:  # a weak-current start, tagged abnormal only under a loose tol
+        return None
+    heading = min(heads, key=lambda h: abs(wrap_angle(h - state0.heading)))
+    traj = integrate_numeric(problem, ExtendedState(state0.c1, state0.c2, heading), t_max)
+    _, _, alpha = problem.swap(*traj.states.T)
+    radial = np.cos(alpha)
+    flips = np.flatnonzero(radial[0] * radial[1:] < 0.0)
+    if flips.size == 0:
+        return None
+    outward = radial[0] > 0.0
+    lo, hi = float(traj.t[flips[0]]), float(traj.t[flips[0] + 1])
+    while hi - lo > REFINE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        _, _, alpha_mid = problem.to_canonical(state_at(traj, mid))
+        if (math.cos(alpha_mid) > 0.0) == outward:
+            lo = mid
+        else:
+            hi = mid
+    t_star = 0.5 * (lo + hi)
+    state = state_at(traj, t_star)
+    speed = position_speed(problem, state)
+    return CuspPoint(t_star, state.position, state.heading, "numeric", speed)

@@ -27,7 +27,6 @@ __all__ = [
     "StepControl",
     "closed_form_trajectory",
     "endpoints",
-    "exponential_map",
     "extended_rhs",
     "first_integral_residuals",
     "integrate_closed_form_historical",
@@ -351,23 +350,3 @@ def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:
         name = STATUS_NAMES[status]
         raise IntegrationError(f"integration halted before t={dt} ({name})", name)
     return ExtendedState(*problem.swap(*out[0]))
-
-
-def exponential_map(
-    problem: ProblemDefinition,
-    q0: tuple[float, float],
-    heading0: float,
-    t: float,
-) -> tuple[float, float]:
-    """Position reached at time ``t`` from ``q0`` with initial heading ``heading0``.
-
-    Evaluates :func:`endpoints` at one heading and time; raises
-    :class:`IntegrationError` when the trajectory halts (leaves the domain)
-    before ``t``.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    x, y = endpoints(problem, q0, (heading0,), (float(t),))[0, 0]
-    if np.isnan(x):
-        raise IntegrationError(f"integration halted before t={t}", "halted")
-    return (float(x), float(y))

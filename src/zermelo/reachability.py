@@ -79,12 +79,10 @@ __all__ = [
     "build_shooting_grid",
     "cut_locus_estimate",
     "discontinuity_scan",
-    "loop_time_estimate",
     "self_intersections",
     "sphere_and_ball",
     "value_function",
     "wavefront",
-    "winding_number",
 ]
 
 UNREACHABLE = math.inf
@@ -95,7 +93,6 @@ CAPTURE_FACTOR = 3.0  # capture radius of a grid node, in local grid cells
 MAX_CANDIDATES = 200  # candidates polished per target, nearest first
 ABNORMAL_MATCH_TOL = 1e-6  # heading gap to an abnormal that flags "via-abnormal"
 N_FRONT_TIMES = 5  # wavefront times searched for separating points
-LOOP_BISECTIONS = 40  # bisection steps of loop_time_estimate
 LINE_SEARCH_STEPS = 20  # step lengths 0.5**i tried per Newton iteration
 COARSE_CONTROL = StepControl(1e-7)  # endpoint map of the first Newton stage
 COARSE_LANDING = 3e-5  # first-stage landing residual, >= 5x the coarse map's endpoint error
@@ -593,9 +590,17 @@ def _forward_cusp_time(problem: ProblemDefinition, state0: ExtendedState, t_max:
     return math.inf if cp is None else cp.t_cusp
 
 
-def _abnormal_arc(problem: ProblemDefinition, q0, heading: float, t: float) -> GeodesicTrajectory:
+def _abnormal_arc(
+    problem: ProblemDefinition, q0, heading: float, t: float, t_cusp: float | None = None
+) -> GeodesicTrajectory:
+    """The abnormal from ``q0`` up to ``t``, truncated at its forward cusp.
+
+    ``t_cusp`` is the cusp time when the caller has already searched for it.
+    """
     state0 = ExtendedState(q0[0], q0[1], heading)
-    t_arc = min(t, _forward_cusp_time(problem, state0, t))
+    if t_cusp is None:
+        t_cusp = _forward_cusp_time(problem, state0, t)
+    t_arc = min(t, t_cusp)
     if problem.family == "historical":
         return closed_form_trajectory(problem, state0, t_arc, n_samples=256)
     return integrate_numeric(problem, state0, t_arc)
@@ -727,51 +732,6 @@ def discontinuity_scan(
 # -- cut locus ---------------------------------------------------------------
 
 
-def winding_number(points: np.ndarray, center) -> int:
-    """Winding number of a closed polygonal curve around a point."""
-    v = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
-    ang = np.arctan2(v[:, 1], v[:, 0])
-    d = wrap_angle(np.diff(np.concatenate((ang, ang[:1]))))
-    return int(round(float(np.sum(d)) / (2.0 * math.pi)))
-
-
-def loop_time_estimate(problem: ProblemDefinition, q0, t_upper: float, n_alpha: int = 180) -> float:
-    """First time the wavefront encloses the start point (estimate only).
-
-    Bisects on the winding number of the front around ``q0``; returns inf
-    when the front still fails to enclose the start at ``t_upper``.
-    """
-    def encloses(t: float) -> bool:
-        front = wavefront(problem, q0, t, n_alpha)
-        if not np.all(front.ok):
-            return False
-        return winding_number(front.positions, q0) != 0
-
-    if not encloses(t_upper):
-        return UNREACHABLE
-    lo, hi = 0.0, float(t_upper)
-    for _ in range(LOOP_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if encloses(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _default_cut_horizon(problem: ProblemDefinition, q0, heads) -> float:
-    """Adapted neighborhood radius: 1.5x the forward cusp time of the cusped arc."""
-    states = [ExtendedState(q0[0], q0[1], h) for h in heads]
-    t_cusp = min((_forward_cusp_time(problem, s, 20.0) for s in states), default=math.inf)
-    if math.isinf(t_cusp):
-        raise ValueError(
-            "no forward cusp found to size the adapted neighborhood; pass t_max explicitly"
-        )
-    return 1.5 * t_cusp
-
-
 def cut_locus_estimate(
     problem: ProblemDefinition,
     q0,
@@ -793,11 +753,20 @@ def cut_locus_estimate(
     if float(current_norm(problem, radius)) <= 1.0:
         raise ValueError("cut-locus estimation is only supported at strong-current starts")
     heads = abnormal_headings(problem, radius)
+    cusp_times = [None] * len(heads)
     if t_max is None:
-        t_max = _default_cut_horizon(problem, q0, heads)
+        cusp_times = [
+            _forward_cusp_time(problem, ExtendedState(q0[0], q0[1], h), 20.0) for h in heads
+        ]
+        t_cusp = min(cusp_times, default=math.inf)
+        if math.isinf(t_cusp):
+            raise ValueError(
+                "no forward cusp found to size the adapted neighborhood; pass t_max explicitly"
+            )
+        t_max = 1.5 * t_cusp
     if config.t_max < t_max:
         config = dataclasses.replace(config, t_max=float(t_max))
-    arcs = [_abnormal_arc(problem, q0, h, t_max) for h in heads]
+    arcs = [_abnormal_arc(problem, q0, h, t_max, tc) for h, tc in zip(heads, cusp_times)]
 
     grid = build_shooting_grid(problem, q0, config)
     separating: list[SeparatingPoint] = []

@@ -13,6 +13,8 @@ from zermelo import (
     cusp_historical,
     cusp_numeric,
     integrate_numeric,
+    make_powerlaw,
+    make_vortex,
     position_speed,
 )
 
@@ -105,3 +107,55 @@ def test_vortex_cusp_on_strong_boundary(vortex2):
     # the inward abnormal branch spirals into the vortex and exits instead
     inward = min(heads, key=lambda h: math.cos(h))
     assert cusp_numeric(vortex2, ExtendedState(1.0, 0.0, inward), 4.0) is None
+
+
+@pytest.mark.parametrize(
+    "problem, typed",
+    [
+        (make_vortex(1.0), ExtendedState(0.5, 0.0, -0.5236)),
+        (make_powerlaw(1.0, -3.0, 1.0), ExtendedState(0.5, 0.0, -0.25268)),
+    ],
+)
+def test_numeric_cusp_of_a_heading_typed_to_few_digits(problem, typed):
+    # the CLI's 1e-4 tolerance accepts these headings as abnormal; the search
+    # follows the exact abnormal next to them
+    heading = min(abnormal_headings(problem, typed.c1), key=lambda h: angle_gap(h, typed.heading))
+    exact = ExtendedState(typed.c1, typed.c2, heading)
+    cp = cusp_numeric(problem, typed, 10.0, tol=1e-4)
+    assert cp is not None
+    assert abs(cp.t_cusp - cusp_numeric(problem, exact, 10.0).t_cusp) <= 1e-9
+
+
+def test_no_numeric_cusp_without_an_abnormal_at_the_start(vortex):
+    # just outside r = k the current is weak; a loose tol still tags the
+    # tangent heading abnormal, but no abnormal geodesic starts there
+    state = ExtendedState(1.001, 0.0, -math.pi / 2.0)
+    assert abnormal_headings(vortex, 1.001) == ()
+    assert cusp_numeric(vortex, state, 3.0, tol=1e-3) is None
+
+
+def test_vortex_cusp_matches_closed_form(vortex):
+    # r = k sin(t/k + phi) with sin(phi) = r0/k turns at r = k: t = pi/3 from r0 = k/2
+    cp = cusp_numeric(vortex, ExtendedState(0.5, 0.0, -math.pi / 6.0), 10.0)
+    assert abs(cp.t_cusp - math.pi / 3.0) <= 1e-8
+    assert abs(cp.position[0] - vortex.k) <= 1e-8
+    state = ExtendedState(cp.position[0], cp.position[1], cp.heading)
+    assert cp.speed == position_speed(vortex, state)
+    assert cp.speed <= 1e-7
+
+
+@pytest.mark.parametrize("r0", [0.25, 0.3])
+def test_powerlaw_cusp_from_deep_in_the_strong_region(r0):
+    problem = make_powerlaw(1.0, -3.0, 1.0)
+    found = [
+        cp
+        for h in abnormal_headings(problem, r0)
+        if (cp := cusp_numeric(problem, ExtendedState(r0, 0.0, h), 10.0)) is not None
+    ]
+    assert len(found) == 1
+    cp = found[0]
+    assert abs(float(current_norm(problem, cp.position[0])) - 1.0) <= 1e-6
+    # the search reports the position speed at the point it located
+    state = ExtendedState(cp.position[0], cp.position[1], cp.heading)
+    assert cp.speed == position_speed(problem, state)
+    assert cp.speed <= 1e-7

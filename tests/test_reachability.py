@@ -16,13 +16,13 @@ from zermelo import (
     cusp_historical,
     cut_locus_estimate,
     discontinuity_scan,
-    exponential_map,
+    endpoints,
     integrate_closed_form_historical,
-    loop_time_estimate,
     self_intersections,
     sphere_and_ball,
     value_function,
     wavefront,
+    wrap_angle,
 )
 from zermelo import make_powerlaw, reachability
 from zermelo.closedform import historical_positions
@@ -33,7 +33,6 @@ from zermelo.reachability import (
     _local_cell,
     _newton_polish,
     _value_samples,
-    winding_number,
 )
 
 Q0_STRONG = (0.0, 2.0)
@@ -55,6 +54,20 @@ def brute_force_min_time(problem, q0, target, t_max, n_alpha=2000, n_time=3000, 
     if not np.any(hit):
         return math.inf
     return float(times[np.nonzero(np.any(hit, axis=0))[0][0]])
+
+
+def reach(problem, q0, heading, t):
+    """Position reached from ``q0`` at time ``t`` with initial ``heading``."""
+    x, y = endpoints(problem, q0, [heading], [t])[0, 0]
+    return (float(x), float(y))
+
+
+def winding_count(points, center):
+    """Turns of the closed polygon through ``points`` around ``center``."""
+    v = np.asarray(points) - np.asarray(center)
+    ang = np.arctan2(v[:, 1], v[:, 0])
+    turn = wrap_angle(np.diff(np.append(ang, ang[0])))
+    return round(float(np.sum(turn)) / (2.0 * math.pi))
 
 
 def abnormal_point(t):
@@ -92,9 +105,9 @@ def test_wavefront_winding_weak_vs_strong(historical):
     # weak current: the small-time front encloses the start (locally controllable);
     # strong current: it does not
     weak = wavefront(historical, Q0_WEAK, 0.2, 128)
-    assert winding_number(weak.positions, Q0_WEAK) != 0
+    assert winding_count(weak.positions, Q0_WEAK) != 0
     strong = wavefront(historical, Q0_STRONG, 0.2, 128)
-    assert winding_number(strong.positions, Q0_STRONG) == 0
+    assert winding_count(strong.positions, Q0_STRONG) == 0
 
 
 def test_wavefront_abnormal_endpoints_coincide(historical):
@@ -146,7 +159,7 @@ def test_value_agrees_with_brute_force_interior(historical):
     for _ in range(5):
         heading = rng.uniform(-0.6, 0.6)
         t_ref = rng.uniform(0.3, 1.5)
-        target = exponential_map(historical, Q0_STRONG, heading, t_ref)
+        target = reach(historical, Q0_STRONG, heading, t_ref)
         sample = value_function(historical, Q0_STRONG, target, config, grid)
         oracle = brute_force_min_time(historical, Q0_STRONG, target, 3.0)
         assert sample.reachable
@@ -160,7 +173,7 @@ def test_value_reintegration_closure(historical):
     for target in (abnormal_point(0.8), (1.2, 2.3), (1.0, 1.5)):
         sample = value_function(historical, Q0_STRONG, target, config, grid)
         assert sample.reachable
-        landed = exponential_map(historical, Q0_STRONG, sample.heading0, sample.t_min)
+        landed = reach(historical, Q0_STRONG, sample.heading0, sample.t_min)
         assert math.hypot(landed[0] - target[0], landed[1] - target[1]) <= config.position_tol
 
 
@@ -200,10 +213,10 @@ def test_value_function_rejects_grid_from_other_start(historical):
 def test_value_sample_reports_candidates_and_residual(historical):
     config = ShootingConfig(t_max=3.0)
     grid = build_shooting_grid(historical, Q0_STRONG, config)
-    target = exponential_map(historical, Q0_STRONG, 0.3, 0.7)
+    target = reach(historical, Q0_STRONG, 0.3, 0.7)
     sample = value_function(historical, Q0_STRONG, target, config, grid)
     assert sample.n_candidates == _candidate_nodes(grid, target).shape[0] >= 1
-    landed = exponential_map(historical, Q0_STRONG, sample.heading0, sample.t_min)
+    landed = reach(historical, Q0_STRONG, sample.heading0, sample.t_min)
     assert sample.residual <= config.position_tol
     assert math.isclose(
         math.hypot(landed[0] - target[0], landed[1] - target[1]), sample.residual,
@@ -340,11 +353,11 @@ def _vortex_case(vortex):
     config = ShootingConfig(t_max=0.5, n_alpha=96, n_time=64)
     heads = abnormal_headings(vortex, q0[0])
     targets = [
-        exponential_map(vortex, q0, heads[0], 0.2),
+        reach(vortex, q0, heads[0], 0.2),
         (3.0, 0.0),
         q0,
-        exponential_map(vortex, q0, 0.9, 0.3),
-        exponential_map(vortex, q0, heads[1], 0.1),
+        reach(vortex, q0, 0.9, 0.3),
+        reach(vortex, q0, heads[1], 0.1),
     ]
     return vortex, q0, config, build_shooting_grid(vortex, q0, config), targets, (0, 4)
 
@@ -356,10 +369,10 @@ def _powerlaw_case():
     config = ShootingConfig(t_max=0.6, n_alpha=96, n_time=64)
     heads = abnormal_headings(problem, q0[0])
     targets = [
-        exponential_map(problem, q0, heads[0], 0.1),
-        exponential_map(problem, q0, heads[1], 0.2),
-        exponential_map(problem, q0, 0.9, 0.3),
-        exponential_map(problem, q0, 2.0, 0.25),
+        reach(problem, q0, heads[0], 0.1),
+        reach(problem, q0, heads[1], 0.2),
+        reach(problem, q0, 0.9, 0.3),
+        reach(problem, q0, 2.0, 0.25),
     ]
     return problem, q0, config, build_shooting_grid(problem, q0, config), targets, (0, 1)
 
@@ -371,9 +384,9 @@ def test_value_samples_batch_equals_singles(historical, vortex):
         abnormal_point(0.4),
         Q0_STRONG,
         (-40.0, 2.0),
-        exponential_map(historical, Q0_STRONG, 0.3, 0.7),
+        reach(historical, Q0_STRONG, 0.3, 0.7),
         abnormal_point(1.0),
-        exponential_map(historical, Q0_STRONG, -1.0, 0.5),
+        reach(historical, Q0_STRONG, -1.0, 0.5),
     ]
     batch = _value_samples(historical, Q0_STRONG, targets, config, grid)
     singles = [value_function(historical, Q0_STRONG, tgt, config, grid) for tgt in targets]
@@ -465,10 +478,10 @@ def test_loose_landing_tolerance_still_lands(vortex):
     q0 = (0.5, 0.0)
     config = ShootingConfig(t_max=0.5, n_alpha=96, n_time=64, position_tol=1e-4)
     assert config.position_tol > reachability.COARSE_LANDING
-    target = exponential_map(vortex, q0, 0.9, 0.3)
+    target = reach(vortex, q0, 0.9, 0.3)
     sample = value_function(vortex, q0, target, config)
     assert sample.reachable and sample.residual <= config.position_tol
-    landed = exponential_map(vortex, q0, sample.heading0, sample.t_min)
+    landed = reach(vortex, q0, sample.heading0, sample.t_min)
     assert math.hypot(landed[0] - target[0], landed[1] - target[1]) <= config.position_tol
 
 
@@ -477,7 +490,7 @@ def test_value_sample_counts_newton_iterations(historical):
     # one Newton run would, and the counts add up to that run's
     config = ShootingConfig(t_max=3.0)
     grid = build_shooting_grid(historical, Q0_STRONG, config)
-    targets = [exponential_map(historical, Q0_STRONG, 0.3, 0.7), abnormal_point(0.4)]
+    targets = [reach(historical, Q0_STRONG, 0.3, 0.7), abnormal_point(0.4)]
     samples = _value_samples(historical, Q0_STRONG, targets, config, grid)
     for sample, (t_ref, heading_ref, its) in zip(
         samples, _one_stage(historical, Q0_STRONG, targets, config, grid)
@@ -822,11 +835,11 @@ def test_vortex_value_function_generic_path(vortex):
     grid = build_shooting_grid(vortex, q0, config)
     # domain exits leave nan rows but most of the grid is usable
     assert 0.5 < np.isfinite(grid.positions[..., 0]).mean() < 1.0
-    target = exponential_map(vortex, q0, 0.9, 0.4)
+    target = reach(vortex, q0, 0.9, 0.4)
     sample = value_function(vortex, q0, target, config, grid)
     assert sample.reachable
     assert sample.t_min <= 0.4 + 1e-8
-    landed = exponential_map(vortex, q0, sample.heading0, sample.t_min)
+    landed = reach(vortex, q0, sample.heading0, sample.t_min)
     assert math.hypot(landed[0] - target[0], landed[1] - target[1]) <= config.position_tol
 
 
@@ -840,13 +853,3 @@ def test_vortex_sphere_fan(vortex):
     assert result.is_sphere[tags == "hyperbolic"].all()
     assert not result.is_sphere[tags == "elliptic"].any()
     assert len(result.abnormal_arcs) == 2
-
-
-def test_loop_time_estimate(historical):
-    t_loop = loop_time_estimate(historical, Q0_STRONG, 8.0, n_alpha=128)
-    assert math.isfinite(t_loop)
-    assert 0.0 < t_loop < 8.0
-    early = wavefront(historical, Q0_STRONG, max(t_loop - 0.05, 1e-3), 128)
-    late = wavefront(historical, Q0_STRONG, t_loop + 0.05, 128)
-    assert winding_number(early.positions, Q0_STRONG) == 0
-    assert winding_number(late.positions, Q0_STRONG) != 0
