@@ -5,7 +5,13 @@ The hot inner loops live here: the right-hand side of the canonical
 driven three ways.  The scalar stepper runs one lane, storing every accepted
 step (``rk45_trajectory``) or sampling at caller-given times
 (``rk45_at_times``); both take their trial steps through one step policy,
-``_advance``.  The lane kernel ``rk45_lanes`` samples N lanes at
+``_advance``.  The scalar step is "first same as last" (FSAL; Dormand &
+Prince, J. Comput. Appl. Math. 6, 1980): the RHS at an accepted step's end
+is the next step's first stage, and a rejected trial keeps the first stage
+it was given, so a trial step evaluates the RHS 6 times and a lane once
+more at its start.  ``rk45_trajectory`` can also stop at the radial turn,
+the first accepted step whose ``cos(alpha)`` has the opposite sign to the
+start's.  The lane kernel ``rk45_lanes`` samples N lanes at
 once: one numpy loop advances every running lane by one trial step.  The
 running lanes' (t, r, theta, alpha, h) are the columns of one (5, N) array,
 beside their indices and next targets.  Each pass records the status of
@@ -42,6 +48,7 @@ STATUS_OK = 0
 STATUS_DOMAIN_EXIT = 1
 STATUS_STEP_COLLAPSE = 2
 STATUS_MAX_STEPS = 3
+STATUS_RADIAL_TURN = 4  # rk45_trajectory(stop_at_turn=True) stopped at the radial turn
 
 # Dormand-Prince 5(4) tableau
 _A21 = 1.0 / 5.0
@@ -89,9 +96,14 @@ def _floor_halt(r, dom_lo, dom_hi):
     return np.where(near, STATUS_DOMAIN_EXIT, STATUS_STEP_COLLAPSE)
 
 
-def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol):
-    """One trial Dormand-Prince step; returns (r5, th5, al5, err)."""
-    k1r, k1t, k1a = rhs(code, k, a, b, r, al)
+def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol, k1):
+    """One trial Dormand-Prince step from ``(r, th, al)``, where the RHS is ``k1``.
+
+    Returns ``(r5, th5, al5, err, k7)``: ``k7`` is the RHS at the 5th-order
+    state, the next step's ``k1`` if this one is accepted (``None`` where
+    the trial state is not finite and ``err`` is inf).
+    """
+    k1r, k1t, k1a = k1
 
     k2r, k2t, k2a = rhs(code, k, a, b, r + h * _A21 * k1r, al + h * _A21 * k1a)
     k3r, k3t, k3a = rhs(
@@ -127,9 +139,10 @@ def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol):
     al5 = al + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
 
     if not (math.isfinite(r5) and math.isfinite(th5) and math.isfinite(al5)):
-        return r5, th5, al5, math.inf
+        return r5, th5, al5, math.inf, None
 
-    k7r, k7t, k7a = rhs(code, k, a, b, r5, al5)
+    k7 = rhs(code, k, a, b, r5, al5)
+    k7r, k7t, k7a = k7
 
     er = h * (_E1 * k1r + _E3 * k3r + _E4 * k4r + _E5 * k5r + _E6 * k6r + _E7 * k7r)
     et = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
@@ -141,7 +154,7 @@ def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol):
     err = math.sqrt(((er / sr) ** 2 + (et / st) ** 2 + (ea / sa) ** 2) / 3.0)
     if not math.isfinite(err):
         err = math.inf
-    return r5, th5, al5, err
+    return r5, th5, al5, err, k7
 
 
 def _new_h(h_try, err, max_step):
@@ -161,39 +174,44 @@ def _new_h(h_try, err, max_step):
 
 def _advance(
     code, k, a, b, t, r, th, al, h, steps, target,
-    rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps,
+    rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, k1,
 ):
     """Trial steps from time ``t`` toward ``target`` until one is accepted or the lane halts.
 
-    Returns ``(t, r, th, al, h, steps, status)``: ``steps`` counts trial
-    steps against ``max_steps``, and the status is ``STATUS_DOMAIN_EXIT`` if
-    the accepted radius is within ``pad`` of the domain boundary.  A halt
-    before any step is accepted returns the state it was given.
+    ``k1`` is the RHS at ``(r, al)``.  Returns ``(t, r, th, al, h, steps,
+    status, k1)``: ``steps`` counts trial steps against ``max_steps``, the
+    status is ``STATUS_DOMAIN_EXIT`` if the accepted radius is within
+    ``pad`` of the domain boundary, and ``k1`` is the RHS at the returned
+    state.  A halt before any step is accepted returns the state it was given.
     """
     while True:
         steps += 1
         if steps > max_steps:
-            return t, r, th, al, h, steps, STATUS_MAX_STEPS
+            return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1
         if h < _H_FLOOR * max(1.0, abs(t)):
-            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi))
+            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1
         h_try = min(h, target - t)
-        r5, th5, al5, err = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol)
+        r5, th5, al5, err, k7 = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol, k1)
         h = _new_h(h_try, err, max_step)
         if err <= 1.0:
             break
     if r5 <= dom_lo + pad or r5 >= dom_hi - pad:
-        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT
-    return t + h_try, r5, th5, al5, h, steps, STATUS_OK
+        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7
+    return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7
 
 
 def rk45_trajectory(
-    code, k, a, b, r0, th0, al0, t_final, rtol, atol, max_step, dom_lo, dom_hi, pad, out_t, out_y
+    code, k, a, b, r0, th0, al0, t_final, rtol, atol, max_step, dom_lo, dom_hi, pad, out_t, out_y,
+    stop_at_turn=False,
 ):
     """Integrate to ``t_final`` storing every accepted step.
 
     ``out_t`` (n_max,) and ``out_y`` (n_max, 3) are caller-allocated; row 0
     receives the initial state.  Returns ``(n_stored, status)``; the row
-    that leaves the domain is stored.
+    that leaves the domain is stored.  With ``stop_at_turn`` the lane ends
+    with ``STATUS_RADIAL_TURN`` after storing the first accepted step whose
+    radial velocity ``cos(alpha)`` has the opposite sign to the start's;
+    the steps before it do not depend on ``t_final``.
     """
     n_max = out_t.shape[0]
     out_t[0] = 0.0
@@ -203,13 +221,15 @@ def rk45_trajectory(
     n = 1
     t, r, th, al = 0.0, r0, th0, al0
     h = min(max_step, t_final, 1e-3)
+    k1 = rhs(code, k, a, b, r, al)
+    radial0 = k1[0]  # cos(alpha0)
     status = STATUS_OK
     while t < t_final:
         if n >= n_max:
             return n, STATUS_MAX_STEPS
-        t_new, r, th, al, h, _, status = _advance(
+        t_new, r, th, al, h, _, status, k1 = _advance(
             code, k, a, b, t, r, th, al, h, 0, t_final,
-            rtol, atol, max_step, dom_lo, dom_hi, pad, math.inf,
+            rtol, atol, max_step, dom_lo, dom_hi, pad, math.inf, k1,
         )
         if t_new > t:  # a step was accepted; a halt leaves t where it was
             t = t_new
@@ -218,6 +238,8 @@ def rk45_trajectory(
             out_y[n, 1] = th
             out_y[n, 2] = al
             n += 1
+            if stop_at_turn and status == STATUS_OK and radial0 * k1[0] < 0.0:
+                return n, STATUS_RADIAL_TURN
         if status != STATUS_OK:
             break
     return n, status
@@ -243,14 +265,15 @@ def _resume_at_times(
 ):
     """:func:`rk45_at_times` resumed at time ``t`` with step ``h``, ``steps``
     trial steps taken and the rows before ``first`` already filled."""
+    k1 = rhs(code, k, a, b, r, al)
     for i in range(first, ts.shape[0]):
         target = ts[i]
         if target < t:
             return i, STATUS_STEP_COLLAPSE
         while t < target:
-            t, r, th, al, h, steps, status = _advance(
+            t, r, th, al, h, steps, status, k1 = _advance(
                 code, k, a, b, t, r, th, al, h, steps, target,
-                rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps,
+                rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, k1,
             )
             if status != STATUS_OK:
                 return i, status

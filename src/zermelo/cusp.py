@@ -82,9 +82,10 @@ def cusp_numeric(
     """First forward cusp of an abnormal geodesic, located numerically.
 
     Replaces the heading by the nearest exact abnormal heading at the start
-    radius, integrates to ``t_max`` (a domain exit just truncates the scan),
-    brackets the first sign change of the radial velocity ``cos(alpha)``
-    between stored steps and bisects on its sign down to 1e-12 in t.
+    radius, integrates up to the first stored step where the radial
+    velocity ``cos(alpha)`` changes sign (or to ``t_max``; a domain exit
+    just truncates the scan), brackets that sign change between the last
+    two steps and bisects on its sign down to 1e-12 in t.
     Returns ``None`` when the radial velocity keeps its sign, or when no
     abnormal heading exists at the start radius.
     """
@@ -95,7 +96,9 @@ def cusp_numeric(
     if not heads:  # a weak-current start, tagged abnormal only under a loose tol
         return None
     heading = min(heads, key=lambda h: abs(wrap_angle(h - state0.heading)))
-    traj = integrate_numeric(problem, ExtendedState(state0.c1, state0.c2, heading), t_max)
+    traj = integrate_numeric(
+        problem, ExtendedState(state0.c1, state0.c2, heading), t_max, stop_at_radial_turn=True
+    )
     _, _, alpha = problem.swap(*traj.states.T)
     radial = np.cos(alpha)
     flips = np.flatnonzero(radial[0] * radial[1:] < 0.0)

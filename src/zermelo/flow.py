@@ -44,6 +44,7 @@ STATUS_NAMES = {
     _kernels.STATUS_DOMAIN_EXIT: "domain-exit",
     _kernels.STATUS_STEP_COLLAPSE: "step-collapse",
     _kernels.STATUS_MAX_STEPS: "max-steps",
+    _kernels.STATUS_RADIAL_TURN: "radial-turn",
 }
 
 # residual masks: both conserved relations have removable poles at these angles
@@ -219,12 +220,17 @@ def integrate_numeric(
     state0: ExtendedState,
     t_final: float,
     control: StepControl | None = None,
+    *,
+    stop_at_radial_turn: bool = False,
 ) -> GeodesicTrajectory:
     """Adaptive 5(4) trajectory storing every accepted step.
 
     Halts with a ``domain-exit`` status (partial trajectory, no exception)
     when the radius reaches the domain boundary, and ``step-collapse`` when
-    the step size underflows away from it.
+    the step size underflows away from it.  With ``stop_at_radial_turn``
+    it ends with status ``radial-turn`` at the first stored step where
+    ``cos(alpha)`` has the opposite sign to the start's; its samples are a
+    prefix, bit for bit, of the trajectory to ``t_final``.
     """
     if not t_final > 0.0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
@@ -236,7 +242,7 @@ def integrate_numeric(
     out_y = np.empty((n_max, 3))
     head = (problem.code, problem.k, problem.a, problem.b, float(r0), float(th0), float(al0))
     n, status = _kernels.rk45_trajectory(
-        *head, float(t_final), *_step_args(problem, control), out_t, out_y
+        *head, float(t_final), *_step_args(problem, control), out_t, out_y, stop_at_radial_turn
     )
     t = out_t[:n].copy()
     states = np.stack(problem.swap(*out_y[:n].T), axis=-1)

@@ -1,9 +1,12 @@
 """Planar polyline intersection helpers.
 
 Used to find self-intersections of geodesic traces and wavefront polygons.
-Candidate segment pairs are screened with vectorized bounding boxes, solved
-exactly as line segments, and optionally polished against the true curve by
-a small damped Newton iteration on the two curve parameters.
+Candidate segment pairs come from a sweep and prune on x (Cohen, Lin,
+Manocha & Ponamgi, "I-COLLIDE", I3D 1995): only pairs whose x-extents
+overlap are formed, never all n(n-1)/2.  They are screened with vectorized
+bounding boxes, solved exactly as line segments, and optionally polished
+against the true curve by a small damped Newton iteration on the two curve
+parameters.
 """
 
 from __future__ import annotations
@@ -44,9 +47,19 @@ def polyline_self_intersections(
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     nseg = n - 1
-    ii, jj = np.triu_indices(nseg, k=2)
+    # sweep and prune on x: after a stable sort of the segments by low x,
+    # the segments that follow one in that order and start at or before its
+    # high x are exactly the later ones whose x-extent meets its own
+    order = np.argsort(lo[:, 0], kind="stable")
+    start = np.arange(1, nseg + 1)
+    count = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - start
+    offset = np.cumsum(count) - count
+    first = np.repeat(order, count)
+    second = order[np.arange(int(count.sum())) - np.repeat(offset - start, count)]
+    ii, jj = np.minimum(first, second), np.maximum(first, second)
     overlap = (
-        (lo[ii, 0] <= hi[jj, 0])
+        (jj - ii >= 2)
+        & (lo[ii, 0] <= hi[jj, 0])
         & (lo[jj, 0] <= hi[ii, 0])
         & (lo[ii, 1] <= hi[jj, 1])
         & (lo[jj, 1] <= hi[ii, 1])
@@ -54,6 +67,10 @@ def polyline_self_intersections(
     ii, jj = ii[overlap], jj[overlap]
     if ii.size == 0:
         return []
+    # row-major pair order: crossings that compare equal (two pairs meeting
+    # at a shared vertex, 0.0 against -0.0) leave the stable sort below in
+    # one fixed order
+    ii, jj = np.divmod(np.sort(ii * nseg + jj), nseg)
 
     d1 = b[ii] - a[ii]
     d2 = b[jj] - a[jj]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zermelo import (
@@ -16,7 +17,9 @@ from zermelo import (
     make_powerlaw,
     make_vortex,
     position_speed,
+    state_at,
 )
+from zermelo.cusp import REFINE_WIDTH, CuspPoint
 
 from conftest import angle_gap
 
@@ -159,3 +162,48 @@ def test_powerlaw_cusp_from_deep_in_the_strong_region(r0):
     state = ExtendedState(cp.position[0], cp.position[1], cp.heading)
     assert cp.speed == position_speed(problem, state)
     assert cp.speed <= 1e-7
+
+
+def _cusp_on_full_trajectory(problem, state0, t_max):
+    """The radial-turn search over the whole trajectory to ``t_max``."""
+    heads = abnormal_headings(problem, problem.radius_of(state0.position))
+    heading = min(heads, key=lambda h: angle_gap(h, state0.heading))
+    traj = integrate_numeric(problem, ExtendedState(state0.c1, state0.c2, heading), t_max)
+    radial = np.cos(problem.swap(*traj.states.T)[2])
+    flips = np.flatnonzero(radial[0] * radial[1:] < 0.0)
+    if flips.size == 0:
+        return None
+    lo, hi = float(traj.t[flips[0]]), float(traj.t[flips[0] + 1])
+    while hi - lo > REFINE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        _, _, alpha_mid = problem.to_canonical(state_at(traj, mid))
+        if (math.cos(alpha_mid) > 0.0) == (radial[0] > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    t_star = 0.5 * (lo + hi)
+    state = state_at(traj, t_star)
+    return CuspPoint(
+        t_star, state.position, state.heading, "numeric", position_speed(problem, state)
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, r0",
+    [
+        (make_vortex(1.0), 0.5),
+        (make_powerlaw(1.0, -3.0, 1.0), 0.25),
+        (make_powerlaw(1.0, -3.0, 1.0), 0.3),
+        (make_powerlaw(2.0, -2.0, 1.0), 1.5),
+    ],
+)
+def test_cusp_search_that_stops_at_the_turn_equals_the_full_search(problem, r0):
+    # the steps before the radial turn do not depend on how far the
+    # integration would go on, so stopping there changes no bit
+    found = 0
+    for h in abnormal_headings(problem, r0):
+        state0 = ExtendedState(r0, 0.0, h)
+        cp = cusp_numeric(problem, state0, 10.0)
+        assert cp == _cusp_on_full_trajectory(problem, state0, 10.0)
+        found += cp is not None
+    assert found == 1

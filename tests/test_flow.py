@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from zermelo import (
     DomainError,
     ExtendedState,
+    abnormal_headings,
     StepControl,
     closed_form_trajectory,
     endpoints,
@@ -148,6 +149,53 @@ def test_vortex_domain_exit(vortex):
     assert traj.t_end < 0.5
     assert traj.final_state.c1 < 1e-5
     assert math.isclose(traj.t_end, 0.2, abs_tol=1e-3)
+
+
+def _abnormal_start(problem, q0):
+    """The abnormal from ``q0`` whose radial velocity turns first (to t = 10), with
+    the index of its first sample past the turn and its full trajectory."""
+    starts = []
+    for h in abnormal_headings(problem, problem.radius_of(q0)):
+        state = ExtendedState(*q0, h)
+        full = integrate_numeric(problem, state, 10.0)
+        radial = np.cos(problem.swap(*full.states.T)[2])
+        flips = np.flatnonzero(radial[0] * radial[1:] < 0.0)
+        if flips.size:
+            starts.append((int(flips[0]) + 1, state, full))
+    assert starts
+    return min(starts, key=lambda start: start[2].t[start[0]])
+
+
+@pytest.mark.parametrize(
+    "problem, q0",
+    [
+        (make_vortex(1.0), (0.5, 0.0)),
+        (make_powerlaw(1.0, -3.0, 1.0), (0.3, 0.0)),
+        (make_powerlaw(2.0, -2.0, 1.0), (1.5, 0.0)),
+        (make_historical(), (0.0, 2.0)),  # the Cartesian chart: alpha is pi/2 - heading
+    ],
+    ids=["vortex", "powerlaw-3", "powerlaw-2", "historical"],
+)
+def test_radial_turn_stop_is_a_prefix_of_the_full_trajectory(problem, q0):
+    first, state, full = _abnormal_start(problem, q0)
+    short = integrate_numeric(problem, state, 10.0, stop_at_radial_turn=True)
+    assert short.status == "radial-turn"
+    # its last sample is the first where cos(alpha) has flipped
+    assert len(short) == first + 1
+    assert np.array_equal(short.t, full.t[: first + 1])
+    assert np.array_equal(short.states, full.states[: first + 1])
+
+
+def test_radial_turn_stop_without_a_turn_runs_to_t_final(vortex):
+    # r = sin(t + pi/6) from r0 = 1/2 turns at t = pi/3, after t_final = 0.5
+    state = ExtendedState(0.5, 0.0, -math.pi / 6.0)
+    short = integrate_numeric(vortex, state, 0.5, stop_at_radial_turn=True)
+    full = integrate_numeric(vortex, state, 0.5)
+    assert short.status == full.status == "completed"
+    assert short.t_end == 0.5
+    assert np.array_equal(short.states, full.states)
+    # the same start turns once the horizon passes the cusp
+    assert integrate_numeric(vortex, state, 1.5, stop_at_radial_turn=True).status == "radial-turn"
 
 
 def test_residual_thresholds_exact_and_numeric(historical):

@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
+from zermelo import make_powerlaw
 from zermelo.geometry import polyline_self_intersections, refine_curve_intersection
+from zermelo.reachability import wavefront
 
 
 def _figure_eight(u):
@@ -54,3 +57,77 @@ def test_param_gap_filter():
     u = np.linspace(0.5 * math.pi, 2.5 * math.pi, 400)
     pts = np.array([_figure_eight(v) for v in u])
     assert polyline_self_intersections(pts, u, min_param_gap=10.0) == []
+
+
+def _all_pairs_reference(points, params, min_param_gap=None):
+    """Self-intersections screened over all n(n-1)/2 segment pairs in row-major order."""
+    pts = np.asarray(points, dtype=float)
+    par = np.asarray(params, dtype=float)
+    n = pts.shape[0]
+    if n < 4:
+        return []
+    if min_param_gap is None:
+        min_param_gap = 3.0 * float(np.max(np.diff(par)))
+    a, b = pts[:-1], pts[1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    ii, jj = np.triu_indices(n - 1, k=2)
+    overlap = (
+        (lo[ii, 0] <= hi[jj, 0])
+        & (lo[jj, 0] <= hi[ii, 0])
+        & (lo[ii, 1] <= hi[jj, 1])
+        & (lo[jj, 1] <= hi[ii, 1])
+    )
+    ii, jj = ii[overlap], jj[overlap]
+    d1, d2, rr = b[ii] - a[ii], b[jj] - a[jj], a[jj] - a[ii]
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (rr[:, 0] * d2[:, 1] - rr[:, 1] * d2[:, 0]) / den
+        w = (rr[:, 0] * d1[:, 1] - rr[:, 1] * d1[:, 0]) / den
+    eps = 1e-9
+    good = (np.abs(den) > 0.0) & (s >= -eps) & (s <= 1.0 + eps) & (w >= -eps) & (w <= 1.0 + eps)
+    out = []
+    for idx in np.nonzero(good)[0]:
+        i, j = int(ii[idx]), int(jj[idx])
+        u1 = par[i] + float(s[idx]) * (par[i + 1] - par[i])
+        u2 = par[j] + float(w[idx]) * (par[j + 1] - par[j])
+        if u2 - u1 > min_param_gap:
+            p = a[i] + float(s[idx]) * d1[idx]
+            out.append((float(u1), float(u2), (float(p[0]), float(p[1]))))
+    out.sort()
+    return out
+
+
+def _assert_same_hits(points, params, min_param_gap=None):
+    hits = polyline_self_intersections(points, params, min_param_gap)
+    # repr tells 0.0 from -0.0: equal crossings found by two pairs keep their order
+    assert repr(hits) == repr(_all_pairs_reference(points, params, min_param_gap))
+    return len(hits)
+
+
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_sweep_matches_the_all_pairs_screen_on_random_walks(with_nan):
+    rng = np.random.default_rng(11)
+    found = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 160))
+        pts = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        if trial % 2 == 0:  # integer vertices: tied x-extents, collinear overlaps
+            pts = np.round(pts)
+        if trial % 3 == 0:
+            pts[:, 0] = np.round(pts[:, 0] / 3.0)  # long vertical runs on one x
+        if with_nan and n > 3:
+            pts[rng.integers(0, n, 1 + n // 20)] = np.nan
+        par = np.cumsum(rng.uniform(0.1, 1.0, n))
+        found += _assert_same_hits(pts, par, None if trial % 4 else 0.0)
+    assert found > 1000
+
+
+def test_sweep_matches_the_all_pairs_screen_on_closed_fronts():
+    # a closed wavefront polygon as cut_locus_estimate builds it
+    problem, found = make_powerlaw(2.0, -2.0, 1.0), 0
+    for t in (0.6, 1.0):
+        front = wavefront(problem, (1.5, 0.0), t, 256)
+        pts = np.vstack((front.positions, front.positions[:1]))
+        par = np.concatenate((front.alpha0, front.alpha0[:1] + 2.0 * math.pi))
+        found += _assert_same_hits(pts, par)
+    assert found >= 2

@@ -218,8 +218,40 @@ def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
     y5, err = _kernels._attempt_lanes(*head, y, h, TOL, TOL)
     assert (err > 1.0).any() and (err <= 1.0).any()  # both branches of the controller
     for i in range(n):
-        scalar = _kernels._attempt_step(*head, *y[:, i].tolist(), float(h[i]), TOL, TOL)
-        assert scalar == (y5[0, i], y5[1, i], y5[2, i], err[i])
+        r, th, al = y[:, i].tolist()
+        k1 = _kernels.rhs(*head, r, al)
+        scalar = _kernels._attempt_step(*head, r, th, al, float(h[i]), TOL, TOL, k1)
+        assert scalar[:4] == (y5[0, i], y5[1, i], y5[2, i], err[i])
+        # FSAL: the last stage is the RHS at the new state, the next step's first
+        if math.isfinite(scalar[3]):
+            assert scalar[4] == _kernels.rhs(*head, scalar[0], scalar[2])
+
+
+@pytest.mark.parametrize("sampler", ["trajectory", "at-times"])
+def test_rhs_once_at_start_and_at_most_six_per_trial_step(monkeypatch, sampler):
+    # the step is first same as last: an accepted step hands its last stage
+    # on as the next step's first, and a rejected trial keeps its first
+    calls = {"rhs": 0, "trial": 0}
+    rhs, attempt = _kernels.rhs, _kernels._attempt_step
+
+    def counted_rhs(*args):
+        calls["rhs"] += 1
+        return rhs(*args)
+
+    def counted_attempt(*args):
+        calls["trial"] += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(_kernels, "rhs", counted_rhs)
+    monkeypatch.setattr(_kernels, "_attempt_step", counted_attempt)
+    problem, start = make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0, 0.9)
+    if sampler == "trajectory":
+        _, _, status = _trajectory(problem, *start, 1.0)
+    else:
+        _, _, status = _at_times(problem, *start, [0.1, 0.4, 1.0])
+    assert status == _kernels.STATUS_OK
+    assert calls["trial"] > 10
+    assert calls["rhs"] <= 1 + 6 * calls["trial"]
 
 
 @pytest.mark.parametrize("n_batch", [_kernels.TAIL_LANES - 1, 4 * _kernels.TAIL_LANES + 3])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zermelo import _kernels, make_vortex
+from zermelo import ExtendedState, _kernels, integrate_numeric, make_vortex
 from zermelo.flow import BOUNDARY_PAD, MAX_STEP, MAX_STEPS, STATUS_NAMES
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -39,6 +39,27 @@ def test_imported_bindings_are_called_by_their_module():
 def test_step_counter_target_and_backend_resolve():
     assert callable(tracing._kernels._attempt_step)
     assert tracing._kernels.BACKEND == "numpy"
+
+
+def test_step_counter_reads_the_error_of_every_trial_step(monkeypatch):
+    # the counter reads a trial step's error norm as result[3]
+    calls = []
+    attempt = _kernels._attempt_step
+
+    def counted(*args):
+        calls.append(1)
+        return attempt(*args)
+
+    monkeypatch.setattr(_kernels, "_attempt_step", counted)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        integrate_numeric(make_vortex(1.0), ExtendedState(0.5, 0.0, 1.1), 0.5)
+    finally:
+        tracer.uninstall()
+    assert len(calls) > 0
+    assert tracer.counts["kernels.trial_steps"] == len(calls)
+    assert 0 < tracer.counts["kernels.finite_trial_steps"] <= len(calls)
 
 
 def test_at_times_argument_7_is_ts():
