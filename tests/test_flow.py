@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from zermelo import (
     DomainError,
     ExtendedState,
-    abnormal_headings,
     StepControl,
+    abnormal_headings,
     closed_form_trajectory,
     endpoints,
     extended_rhs,
@@ -151,19 +151,17 @@ def test_vortex_domain_exit(vortex):
     assert math.isclose(traj.t_end, 0.2, abs_tol=1e-3)
 
 
-def _abnormal_start(problem, q0):
-    """The abnormal from ``q0`` whose radial velocity turns first (to t = 10), with
-    the index of its first sample past the turn and its full trajectory."""
-    starts = []
+def _turning_abnormal(problem, q0):
+    """An abnormal from ``q0`` whose radial velocity turns before t = 10: its
+    start, its trajectory to t = 10 and the index of its first sample past the turn."""
     for h in abnormal_headings(problem, problem.radius_of(q0)):
         state = ExtendedState(*q0, h)
         full = integrate_numeric(problem, state, 10.0)
         radial = np.cos(problem.swap(*full.states.T)[2])
         flips = np.flatnonzero(radial[0] * radial[1:] < 0.0)
         if flips.size:
-            starts.append((int(flips[0]) + 1, state, full))
-    assert starts
-    return min(starts, key=lambda start: start[2].t[start[0]])
+            return state, full, int(flips[0]) + 1
+    raise AssertionError(f"no abnormal from {q0} turns before t = 10")
 
 
 @pytest.mark.parametrize(
@@ -177,7 +175,7 @@ def _abnormal_start(problem, q0):
     ids=["vortex", "powerlaw-3", "powerlaw-2", "historical"],
 )
 def test_radial_turn_stop_is_a_prefix_of_the_full_trajectory(problem, q0):
-    first, state, full = _abnormal_start(problem, q0)
+    state, full, first = _turning_abnormal(problem, q0)
     short = integrate_numeric(problem, state, 10.0, stop_at_radial_turn=True)
     assert short.status == "radial-turn"
     # its last sample is the first where cos(alpha) has flipped
