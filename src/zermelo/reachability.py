@@ -30,12 +30,14 @@ is reported, with the Newton iterations of the achieving candidate over
 both stages (``n_newton``); a scan that finds nothing up to ``t_max``
 yields an unreachable marker, which is a value, not an error.
 
-The grid indexes its nodes once in a uniform-grid spatial hash with one
-level per power of two of the nodes' capture radius (Teschner et al.,
-"Optimized Spatial Hashing for Collision Detection of Deformable Objects",
-VMV 2003), so a target's candidates come from a few bins rather than a scan
-of every node.  Spheres, scans and cut-locus fronts look up all their
-targets and polish every candidate of every target in one Newton batch.
+The grid tiles its (heading, time) index space once: each ``TILE`` x
+``TILE`` block of nodes keeps the box of its endpoints and its largest
+capture radius, so a target's candidates come from the few tiles whose
+widened box holds it rather than a scan of every node.  Tiles are local in
+index space, so lanes whose chart angle winds far from the rest of a polar
+grid widen only their own tiles.  Spheres, scans and cut-locus fronts look
+up all their targets and polish every candidate of every target in one
+Newton batch.
 """
 
 from __future__ import annotations
@@ -96,9 +98,7 @@ N_FRONT_TIMES = 5  # wavefront times searched for separating points
 LINE_SEARCH_STEPS = 20  # step lengths 0.5**i tried per Newton iteration
 COARSE_CONTROL = StepControl(1e-7)  # endpoint map of the first Newton stage
 COARSE_LANDING = 3e-5  # first-stage landing residual, >= 5x the coarse map's endpoint error
-HASH_BIN_BITS = 13  # bits of each bin coordinate in a hash key; sets the smallest bin
-HASH_NODE_BITS = 31  # bits of the node id at the bottom of a hash key
-HASH_CHUNK = 1 << 16  # nodes per chunk while the hash keys are built
+TILE = 8  # edge, in grid nodes, of the index-space tiles that bound candidate lookups
 
 
 @dataclass(frozen=True)
@@ -145,78 +145,23 @@ def _local_cell(positions: np.ndarray) -> np.ndarray:
     return np.fmax(cell, buf, out=cell)
 
 
-@dataclass(frozen=True)
-class _RadiusHash:
-    """Uniform-grid spatial hash of grid nodes, one level per radius class.
+def _tile_boxes(positions: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Per ``TILE`` x ``TILE`` tile of nodes: its node box and largest capture radius.
 
-    A node of capture radius rho sits in class c, the ``frexp`` exponent of
-    rho, so rho < 2**c; in bins of size 2**c every point within rho of the
-    node lies in the node's bin or one of its eight neighbours.  Radii are
-    floored at the grid extent * 2**(1 - HASH_BIN_BITS) before the class is
-    taken, which keeps bin coordinates below 2**HASH_BIN_BITS.  Each node is
-    one int64 key, (level, bin x, bin y, node id) from the high bits down;
-    sorted, the keys list every bin's nodes together.
+    Planes ``(lo x, lo y, hi x, hi y, radius)`` over the (heading, time)
+    tiles; the last tiles may be ragged.  Nan nodes are left out of the box,
+    so a tile with no finite node has a nan box.  Each reduction runs over
+    the heading axis first, so its work arrays are 1/``TILE`` of a plane.
     """
+    starts = [np.arange(0, n, TILE) for n in cell.shape]
 
-    levels: np.ndarray  # (n_class,) key prefix of each class
-    sizes: np.ndarray  # (n_class,) bin size 2**c of each class
-    origin: np.ndarray  # (n_class, 2) bin of the finite nodes' lower-left corner
-    keys: np.ndarray  # (n_node,) sorted packed keys
+    def reduce(op, plane):
+        return op.reduceat(op.reduceat(plane, starts[0], axis=0), starts[1], axis=1)
 
-    @staticmethod
-    def _bin_key(level, bin_x, bin_y) -> np.ndarray:
-        key = (level << HASH_BIN_BITS | bin_x) << HASH_BIN_BITS | bin_y
-        return key << HASH_NODE_BITS
-
-    @classmethod
-    def build(cls, grid: ShootingGrid) -> _RadiusHash:
-        """Hash the grid's finite nodes by position and capture radius, in chunks.
-
-        A bin coordinate is ``floor(ldexp(x, -c))``: scaling by a power of
-        two is exact, so it equals ``floor(x / 2**c)``, the form ``near`` uses.
-        """
-        flat = grid.positions.reshape(-1, 2)
-        finite = np.isfinite(flat[:, 0]) & np.isfinite(flat[:, 1])
-        ids = np.nonzero(finite)[0]
-        if ids.shape[0] == 0:
-            return cls(ids, np.ones(0), np.zeros((0, 2)), ids)
-        lo = [float(flat[:, c].min(where=finite, initial=math.inf)) for c in (0, 1)]
-        hi = [float(flat[:, c].max(where=finite, initial=-math.inf)) for c in (0, 1)]
-        extent = max(hi[0] - lo[0], hi[1] - lo[1])
-        floor = math.ldexp(extent if extent > 0.0 else 1.0, 1 - HASH_BIN_BITS)
-        first = math.frexp(floor)[1]  # class of the floor, the smallest one
-        keys = np.empty(ids.shape[0], dtype=np.int64)
-        bottom, top = math.inf, 0
-        for start in range(0, ids.shape[0], HASH_CHUNK):
-            part = ids[start : start + HASH_CHUNK]
-            exps = np.frexp(np.fmax(grid.capture_radius(part), floor))[1]
-            level = exps.astype(np.int64) - first
-            bins = [
-                (np.floor(np.ldexp(flat[part, c], -exps)) - np.floor(np.ldexp(lo[c], -exps)))
-                .astype(np.int64)
-                for c in (0, 1)
-            ]
-            keys[start : start + HASH_CHUNK] = cls._bin_key(level, *bins) | part
-            bottom, top = min(bottom, int(level.min())), max(top, int(level.max()))
-        keys.sort()
-        levels = np.arange(bottom, top + 1)
-        sizes = np.ldexp(1.0, first + levels)
-        return cls(levels, sizes, np.floor(np.array(lo) / sizes[:, None]), keys)
-
-    def near(self, x: float, y: float) -> np.ndarray:
-        """Ids of the nodes in the 3x3 bins around ``(x, y)`` of every class."""
-        step = np.arange(-1.0, 2.0)
-        bins = np.floor(np.array([x, y]) / self.sizes[:, None]) - self.origin
-        qx = bins[:, 0, None, None] + step[:, None]  # (n_class, 3, 1)
-        qy = bins[:, 1, None, None] + step  # (n_class, 1, 3)
-        qx, qy = np.broadcast_arrays(qx, qy)
-        level = np.broadcast_to(self.levels[:, None, None], qx.shape)
-        ok = (np.fmin(qx, qy) >= 0.0) & (np.fmax(qx, qy) < 2.0**HASH_BIN_BITS)
-        query = self._bin_key(level[ok], qx[ok].astype(np.int64), qy[ok].astype(np.int64))
-        lo, hi = np.searchsorted(self.keys, np.stack((query, query + (1 << HASH_NODE_BITS))))
-        counts = hi - lo
-        shift = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        return self.keys[np.arange(shift.shape[0]) + shift] & ((1 << HASH_NODE_BITS) - 1)
+    planes = [reduce(op, positions[..., c]) for op in (np.fmin, np.fmax) for c in (0, 1)]
+    # the capture radius grows with the cell, so the largest cell gives the largest radius
+    radius = CAPTURE_FACTOR * np.fmax(reduce(np.maximum, cell), 1e-12)
+    return np.stack(planes + [radius])
 
 
 @dataclass
@@ -228,11 +173,11 @@ class ShootingGrid:
     times: np.ndarray  # (n_time,) ascending from 0
     positions: np.ndarray  # (n_alpha, n_time, 2); nan where integration halted
     cell: np.ndarray = field(init=False)  # (n_alpha, n_time) local endpoint spacing
-    index: _RadiusHash = field(init=False, repr=False)  # nodes by capture radius
+    tiles: np.ndarray = field(init=False, repr=False)  # (5, n_tile_alpha, n_tile_time) boxes
 
     def __post_init__(self):
         self.cell = _local_cell(self.positions)
-        self.index = _RadiusHash.build(self)
+        self.tiles = _tile_boxes(self.positions, self.cell)
 
     def capture_radius(self, nodes) -> np.ndarray:
         """Largest target distance at which the flat ``nodes`` count as candidates."""
@@ -333,6 +278,23 @@ def build_shooting_grid(
     )
 
 
+def _tile_nodes(grid: ShootingGrid, tx: float, ty: float) -> np.ndarray:
+    """Flat ids of the nodes of every tile whose box, widened by its radius, holds the target.
+
+    The test forms ``lo - target`` and ``target - hi``, as the capture test
+    forms ``node - target``; rounding is monotone, so every node within its
+    capture radius of the target lies in a tile that is hit.  Nan boxes are
+    never hit.
+    """
+    x0, y0, x1, y1, radius = grid.tiles
+    hit = (np.maximum(x0 - tx, tx - x1) <= radius) & (np.maximum(y0 - ty, ty - y1) <= radius)
+    n_alpha, n_time = grid.cell.shape
+    step = np.arange(TILE)
+    rows, cols = (i[:, None] * TILE + step for i in np.nonzero(hit))
+    inside = (rows < n_alpha)[:, :, None] & (cols < n_time)[:, None, :]
+    return (rows[:, :, None] * n_time + cols[:, None, :])[inside]
+
+
 def _candidate_nodes(grid: ShootingGrid, target):
     """Grid nodes that plausibly bracket an arrival at the target.
 
@@ -351,7 +313,7 @@ def _candidate_nodes(grid: ShootingGrid, target):
         d = np.hypot(xs[nodes] - tx, ys[nodes] - ty)
         return np.where(np.isfinite(d), d, np.inf)
 
-    nodes = grid.index.near(tx, ty)
+    nodes = _tile_nodes(grid, tx, ty)
     d = distance(nodes)
     keep = d <= grid.capture_radius(nodes)
     nodes, d = nodes[keep], d[keep]

@@ -32,6 +32,8 @@ from zermelo.reachability import (
     _candidate_nodes,
     _local_cell,
     _newton_polish,
+    _tile_boxes,
+    _tile_nodes,
     _value_samples,
 )
 
@@ -257,6 +259,7 @@ def _full_scan_candidates(grid, target):
         ("historical", Q0_WEAK, ShootingConfig()),
         ("vortex", (0.15, 0.0), ShootingConfig(t_max=0.4, n_alpha=64, n_time=64)),
         ("powerlaw", (0.5, 0.0), ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)),
+        ("historical", Q0_STRONG, ShootingConfig(n_alpha=67, n_time=13)),  # ragged last tiles
     ],
 )
 def test_candidate_index_matches_full_scan(historical, vortex, family, q0, config):
@@ -296,23 +299,6 @@ def _roll_local_cell(positions):
     )
 
 
-def _division_keys(grid):
-    """Sorted hash keys with bins ``floor(x / 2**c)``: the oracle of the ``ldexp`` bins."""
-    flat = grid.positions.reshape(-1, 2)
-    ids = np.nonzero(np.isfinite(flat[:, 0]) & np.isfinite(flat[:, 1]))[0]
-    pos = flat[ids]
-    lo = pos.min(axis=0)
-    extent = float((pos.max(axis=0) - lo).max())
-    floor = math.ldexp(extent if extent > 0.0 else 1.0, 1 - reachability.HASH_BIN_BITS)
-    exps = np.frexp(np.fmax(grid.capture_radius(ids), floor))[1]
-    size = np.ldexp(1.0, exps)[:, None]
-    bins = (np.floor(pos / size) - np.floor(lo / size)).astype(np.int64)
-    key = exps.astype(np.int64) - math.frexp(floor)[1]
-    for column in (0, 1):
-        key = key << reachability.HASH_BIN_BITS | bins[:, column]
-    return np.sort(key << reachability.HASH_NODE_BITS | ids)
-
-
 @pytest.mark.parametrize(
     "family, q0, config",
     [
@@ -323,7 +309,7 @@ def _division_keys(grid):
         ("historical", Q0_STRONG, ShootingConfig(n_time=8)),
     ],
 )
-def test_grid_index_matches_reference_forms(historical, vortex, family, q0, config):
+def test_local_cell_matches_roll_form(historical, vortex, family, q0, config):
     problem = {
         "historical": historical, "vortex": vortex, "powerlaw": make_powerlaw(1.0, -3.0, 1.0)
     }[family]
@@ -331,20 +317,36 @@ def test_grid_index_matches_reference_forms(historical, vortex, family, q0, conf
     if family != "historical":
         assert np.isnan(grid.positions).any()  # steps that touch a nan node count as 0
     np.testing.assert_array_equal(_local_cell(grid.positions), _roll_local_cell(grid.positions))
-    np.testing.assert_array_equal(grid.index.keys, _division_keys(grid))
+
+
+def _traced_peak(build):
+    """Peak bytes traced while ``build()`` runs, above what was live before it."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
 
 
 def test_local_cell_works_in_plane_sized_arrays(historical):
     grid = build_shooting_grid(historical, Q0_STRONG, ShootingConfig())
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        _local_cell(grid.positions)
-        peak = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    plane = grid.cell.size * 8
     # the result and two work planes; the np.roll form peaks at six planes
-    assert peak <= 5 * grid.cell.size * 8
+    assert _traced_peak(lambda: _local_cell(grid.positions)) <= 5 * plane
+    # the tile boxes reduce the heading axis first, so no full plane is copied
+    assert _traced_peak(lambda: _tile_boxes(grid.positions, grid.cell)) <= 2 * plane
+
+
+def test_tile_lookup_stays_local_on_the_default_vortex_grid(vortex):
+    # lanes diving toward the vortex wind the chart angle far from the rest of
+    # the grid; that inflates only their own tiles, not every lookup
+    q0 = (0.5, 0.0)
+    grid = build_shooting_grid(vortex, q0, ShootingConfig(t_max=0.5))
+    front = wavefront(vortex, q0, 0.15, 32, include_headings=abnormal_headings(vortex, q0[0]))
+    for target in front.positions[front.ok]:
+        assert _tile_nodes(grid, *target).shape[0] < 0.05 * grid.cell.size
 
 
 def _vortex_case(vortex):
