@@ -360,9 +360,8 @@ def cmd_value(args) -> int:
 def cmd_synthesis(args) -> int:
     problem = _parse_problem(args.problem)
     q0 = _parse_floats(args.q0, 2, "--q0")
-    n_alpha = args.n if args.n is not None else 128
     try:
-        estimate = reachability.cut_locus_estimate(problem, q0, args.t_max, n_alpha)
+        estimate = reachability.cut_locus_estimate(problem, q0, args.t_max, args.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     t_max = max(arc.t_end for arc in estimate.arcs)
@@ -477,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesis", help="cut-locus arcs and geodesic bundle near a strong start")
     p.add_argument("--q0", required=True)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=128)
     add_common(p)
     p.set_defaults(func=cmd_synthesis)
 

@@ -11,8 +11,9 @@ constant.  Conservation is monitored through residuals, never enforced.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,7 +127,11 @@ class GeodesicTrajectory:
     method: str
     status: str
     control: StepControl
-    residuals: Residuals = field(repr=False, default=None)
+
+    @functools.cached_property
+    def residuals(self) -> Residuals:
+        """Defects of the conserved relations, computed on first read."""
+        return first_integral_residuals(self.problem, self)
 
     def __len__(self) -> int:
         return int(self.t.shape[0])
@@ -246,7 +251,7 @@ def integrate_numeric(
     )
     t = out_t[:n].copy()
     states = np.stack(problem.swap(*out_y[:n].T), axis=-1)
-    traj = GeodesicTrajectory(
+    return GeodesicTrajectory(
         problem=problem,
         t=t,
         states=states,
@@ -255,8 +260,6 @@ def integrate_numeric(
         status=STATUS_NAMES[status],
         control=control,
     )
-    traj.residuals = first_integral_residuals(problem, traj)
-    return traj
 
 
 def integrate_closed_form_historical(state0: ExtendedState, t: float) -> ExtendedState:
@@ -279,7 +282,7 @@ def closed_form_trajectory(
         raise ValueError("need at least two samples")
     ts = np.linspace(0.0, float(t_final), int(n_samples))
     states = closedform._flow(state0.c1, state0.c2, state0.heading, ts, heading=True)
-    traj = GeodesicTrajectory(
+    return GeodesicTrajectory(
         problem=problem,
         t=ts,
         states=states,
@@ -288,8 +291,6 @@ def closed_form_trajectory(
         status="completed",
         control=StepControl(),
     )
-    traj.residuals = first_integral_residuals(problem, traj)
-    return traj
 
 
 def endpoints(

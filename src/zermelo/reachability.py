@@ -30,14 +30,16 @@ is reported, with the Newton iterations of the achieving candidate over
 both stages (``n_newton``); a scan that finds nothing up to ``t_max``
 yields an unreachable marker, which is a value, not an error.
 
-The grid tiles its (heading, time) index space once: each ``TILE`` x
-``TILE`` block of nodes keeps the box of its endpoints and its largest
-capture radius, so a target's candidates come from the few tiles whose
-widened box holds it rather than a scan of every node.  Tiles are local in
-index space, so lanes whose chart angle winds far from the rest of a polar
-grid widen only their own tiles.  Spheres, scans and cut-locus fronts look
-up all their targets and polish every candidate of every target in one
-Newton batch.
+The grid is the whole shooting context: it carries the problem, start and
+config it was built from, and shooting reads them from the grid alone.  It
+tiles its (heading, time) index space once: each ``TILE`` x ``TILE`` block
+of nodes keeps the box of its endpoints and its largest capture radius, so
+a target's candidates come from the few tiles whose widened box holds it
+rather than a scan of every node.  Tiles are local in index space, so lanes
+whose chart angle winds far from the rest of a polar grid widen only their
+own tiles.  Every sphere, scan and cut-locus estimate builds one grid and
+polishes every candidate of every target in one Newton batch; a cut-locus
+estimate first collects the crossings of all its fronts.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closedform
 from .brackets import ExtremalTag, abnormal_headings, classify
-from .cusp import cusp_numeric
+from .cusp import cusp_historical, cusp_numeric
 from .flow import (
     GeodesicTrajectory,
     StepControl,
@@ -60,13 +61,7 @@ from .flow import (
     state_at,
 )
 from .geometry import polyline_self_intersections, refine_curve_intersection
-from .problems import (
-    DomainError,
-    ExtendedState,
-    ProblemDefinition,
-    current_norm,
-    wrap_angle,
-)
+from .problems import ExtendedState, ProblemDefinition, current_norm, wrap_angle
 
 __all__ = [
     "CutLocusEstimate",
@@ -166,9 +161,15 @@ def _tile_boxes(positions: np.ndarray, cell: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ShootingGrid:
-    """Precomputed endpoint grid, reusable across targets from the same start."""
+    """Endpoint grid of one shooting problem, reusable across its targets.
 
+    The grid carries the problem, start and config it was built from, so
+    shooting reads all of them from the grid alone.
+    """
+
+    problem: ProblemDefinition
     q0: tuple[float, float]
+    config: ShootingConfig
     alphas: np.ndarray  # (n_alpha,) chart headings
     times: np.ndarray  # (n_time,) ascending from 0
     positions: np.ndarray  # (n_alpha, n_time, 2); nan where integration halted
@@ -178,10 +179,6 @@ class ShootingGrid:
     def __post_init__(self):
         self.cell = _local_cell(self.positions)
         self.tiles = _tile_boxes(self.positions, self.cell)
-
-    def capture_radius(self, nodes) -> np.ndarray:
-        """Largest target distance at which the flat ``nodes`` count as candidates."""
-        return CAPTURE_FACTOR * np.fmax(self.cell.reshape(-1)[nodes], 1e-12)
 
 
 @dataclass(frozen=True)
@@ -272,10 +269,9 @@ def build_shooting_grid(
     n = config.n_alpha
     alphas = -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
     times = np.linspace(0.0, config.t_max, config.n_time)
+    q0 = (float(q0[0]), float(q0[1]))
     positions = endpoints(problem, q0, alphas, times[None, :])
-    return ShootingGrid(
-        q0=(float(q0[0]), float(q0[1])), alphas=alphas, times=times, positions=positions
-    )
+    return ShootingGrid(problem, q0, config, alphas, times, positions)
 
 
 def _tile_nodes(grid: ShootingGrid, tx: float, ty: float) -> np.ndarray:
@@ -315,7 +311,7 @@ def _candidate_nodes(grid: ShootingGrid, target):
 
     nodes = _tile_nodes(grid, tx, ty)
     d = distance(nodes)
-    keep = d <= grid.capture_radius(nodes)
+    keep = d <= CAPTURE_FACTOR * np.fmax(grid.cell.reshape(-1)[nodes], 1e-12)
     nodes, d = nodes[keep], d[keep]
     # each test keeps the nodes no farther than one neighbour; the heading
     # neighbours reject most, so the time neighbours see only the survivors
@@ -420,18 +416,9 @@ def _newton_polish(
     return al, tt, np.hypot(f[:, 0], f[:, 1]), iterations
 
 
-def _value_samples(
-    problem: ProblemDefinition,
-    q0,
-    targets,
-    config: ShootingConfig | None = None,
-    grid: ShootingGrid | None = None,
-) -> list[ValueSample]:
+def _value_samples(grid: ShootingGrid, targets) -> list[ValueSample]:
     """:func:`value_function` at every target, with one Newton batch for all of them."""
-    config = config or ShootingConfig()
-    q0 = (float(q0[0]), float(q0[1]))
-    if grid is not None and grid.q0 != q0:
-        raise ValueError(f"shooting grid starts at {grid.q0}, not at q0 = {q0}")
+    problem, q0, config = grid.problem, grid.q0, grid.config
     samples: list[ValueSample | None] = []
     shots = []  # (sample slot, target, candidate nodes) of the targets that need Newton
     for target in targets:
@@ -441,8 +428,6 @@ def _value_samples(
         if gap <= config.position_tol:
             samples.append(ValueSample(tgt, 0.0, None, "interior", 0, gap))
             continue
-        if grid is None:
-            grid = build_shooting_grid(problem, q0, config)
         idx = _candidate_nodes(grid, tgt)
         if idx.shape[0] == 0:
             samples.append(ValueSample(tgt, UNREACHABLE, None, "unreachable"))
@@ -468,10 +453,7 @@ def _value_samples(
         )
         n_newton[active] += its
         active = active[residual[active] <= tol]
-    try:
-        heads = abnormal_headings(problem, problem.radius_of(q0))
-    except DomainError:
-        heads = ()
+    heads = abnormal_headings(problem, problem.radius_of(q0))
     lanes = np.split(np.arange(idx.shape[0]), np.cumsum(counts)[:-1])
     for (slot, tgt, _), lane in zip(shots, lanes):
         valid = (residual[lane] <= config.position_tol) & (tt[lane] <= config.t_max + 1e-9)
@@ -498,10 +480,15 @@ def value_function(
     """Minimal transfer time from ``q0`` to ``target`` by shooting and Newton polish.
 
     Pass a prebuilt :class:`ShootingGrid` when evaluating many targets from
-    the same start; the grid depends only on ``(problem, q0, config)``, and
-    one built from another start raises ``ValueError``.
+    the same start; one built for another problem, start or config raises
+    ``ValueError``.
     """
-    return _value_samples(problem, q0, [target], config, grid)[0]
+    config = config or ShootingConfig()
+    if grid is None:
+        grid = build_shooting_grid(problem, q0, config)
+    elif (grid.problem, grid.q0, grid.config) != (problem, (float(q0[0]), float(q0[1])), config):
+        raise ValueError("shooting grid was built for another problem, start or config")
+    return _value_samples(grid, [target])[0]
 
 
 # -- wavefronts, spheres and balls -------------------------------------------
@@ -546,9 +533,9 @@ def _forward_cusp_time(problem: ProblemDefinition, state0: ExtendedState, t_max:
     Analytic for the historical problem, else searched numerically up to ``t_max``.
     """
     if problem.family == "historical":
-        t_c = closedform.cusp_time(state0.heading)
-        return t_c if t_c > 0.0 else math.inf
-    cp = cusp_numeric(problem, state0, t_max)
+        cp = cusp_historical(state0)
+    else:
+        cp = cusp_numeric(problem, state0, t_max)
     return math.inf if cp is None else cp.t_cusp
 
 
@@ -585,14 +572,10 @@ def sphere_and_ball(
     config = config or ShootingConfig()
     if config.t_max < 1.5 * t:
         config = dataclasses.replace(config, t_max=1.5 * t)
-    try:
-        heads = abnormal_headings(problem, problem.radius_of(q0))
-    except DomainError:
-        heads = ()
+    heads = abnormal_headings(problem, problem.radius_of(q0))
     front = wavefront(problem, q0, t, n_alpha, include_headings=heads)
-    grid = build_shooting_grid(problem, q0, config)
     t_min = np.full(front.alpha0.shape[0], UNREACHABLE)
-    samples = _value_samples(problem, q0, front.positions[front.ok], config, grid)
+    samples = _value_samples(build_shooting_grid(problem, q0, config), front.positions[front.ok])
     t_min[front.ok] = [sample.t_min for sample in samples]
     is_sphere = np.abs(t_min - t) <= SPHERE_TOL * (1.0 + t)
     arcs = [_abnormal_arc(problem, q0, h, t) for h in heads]
@@ -653,8 +636,7 @@ def discontinuity_scan(
         frac = np.linspace(0.0, 1.0, int(n_samples))
         points = a[None, :] + frac[:, None] * (b - a)[None, :]
         s = frac * length
-    grid = build_shooting_grid(problem, q0, config)
-    samples = _value_samples(problem, q0, points, config, grid)
+    samples = _value_samples(build_shooting_grid(problem, q0, config), points)
     t_vals = np.array([smp.t_min for smp in samples])
 
     jumps: list[JumpReport] = []
@@ -662,21 +644,13 @@ def discontinuity_scan(
         diffs = np.abs(np.diff(t_vals))
         finite = np.isfinite(diffs)
         med = float(np.median(diffs[finite])) if np.any(finite) else 0.0
-        threshold = 10.0 * med + 1e-7
         both_inf = ~np.isfinite(t_vals[:-1]) & ~np.isfinite(t_vals[1:])
-        flagged = np.where(both_inf, False, ~finite | (diffs > threshold))
-        i = 0
-        n_d = diffs.shape[0]
-        while i < n_d:
-            if not flagged[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < n_d and flagged[j + 1]:
-                j += 1
-            run = np.arange(i, j + 1)
-            gaps = diffs[run]
-            edge = int(run[int(np.argmax(np.where(np.isfinite(gaps), gaps, np.inf)))])
+        flagged = np.where(both_inf, False, ~finite | (diffs > 10.0 * med + 1e-7))
+        # runs [i, j) of flagged differences, from the edges of the padded mask
+        runs = np.flatnonzero(np.diff(np.concatenate(([False], flagged, [False]))))
+        for i, j in runs.reshape(-1, 2):
+            gaps = diffs[i:j]
+            edge = int(i + np.argmax(np.where(np.isfinite(gaps), gaps, np.inf)))
             mid = 0.5 * (points[edge] + points[edge + 1])
             jumps.append(
                 JumpReport(
@@ -687,7 +661,6 @@ def discontinuity_scan(
                     position=(float(mid[0]), float(mid[1])),
                 )
             )
-            i = j + 1
     return ValueScan(s=s, positions=points, samples=samples, jumps=jumps)
 
 
@@ -698,7 +671,7 @@ def cut_locus_estimate(
     problem: ProblemDefinition,
     q0,
     t_max: float | None = None,
-    n_alpha: int = 256,
+    n_alpha: int = 128,
     config: ShootingConfig | None = None,
 ) -> CutLocusEstimate:
     """Cut-locus estimate at a strong-current start.
@@ -730,28 +703,26 @@ def cut_locus_estimate(
         config = dataclasses.replace(config, t_max=float(t_max))
     arcs = [_abnormal_arc(problem, q0, h, t_max, tc) for h, tc in zip(heads, cusp_times)]
 
-    grid = build_shooting_grid(problem, q0, config)
-    separating: list[SeparatingPoint] = []
+    crossings = []  # (t_k, heading a, heading b, position) over every front
     for t_k in np.linspace(0.35, 1.0, N_FRONT_TIMES) * t_max:
         front = wavefront(problem, q0, float(t_k), n_alpha)
         if not np.all(front.ok):
             continue
         pts = np.vstack((front.positions, front.positions[:1]))
         par = np.concatenate((front.alpha0, front.alpha0[:1] + 2.0 * math.pi))
-        crossings = polyline_self_intersections(pts, par)
-        samples = _value_samples(problem, q0, [pos for _, _, pos in crossings], config, grid)
-        for (a1, a2, pos), sample in zip(crossings, samples):
-            confirmed = (
-                sample.reachable
-                and abs(sample.t_min - t_k) <= SPHERE_TOL * (1.0 + t_k) * 100.0
-            )
-            separating.append(
-                SeparatingPoint(
-                    t=float(t_k),
-                    position=pos,
-                    heading_a=float(wrap_angle(a1)),
-                    heading_b=float(wrap_angle(a2)),
-                    confirmed=bool(confirmed),
-                )
-            )
+        crossings += [(float(t_k), *hit) for hit in polyline_self_intersections(pts, par)]
+    samples = _value_samples(
+        build_shooting_grid(problem, q0, config), [pos for *_, pos in crossings]
+    )
+    separating = [
+        SeparatingPoint(
+            t=t_k,
+            position=pos,
+            heading_a=float(wrap_angle(a1)),
+            heading_b=float(wrap_angle(a2)),
+            confirmed=sample.reachable
+            and abs(sample.t_min - t_k) <= SPHERE_TOL * (1.0 + t_k) * 100.0,
+        )
+        for (t_k, a1, a2, pos), sample in zip(crossings, samples)
+    ]
     return CutLocusEstimate(arcs=arcs, arc_headings=tuple(heads), separating_points=separating)

@@ -204,11 +204,17 @@ def test_wavefront_upper_bounds_value(historical):
         assert sample.t_min <= t + 1e-6
 
 
-def test_value_function_rejects_grid_from_other_start(historical):
+def test_value_function_rejects_grid_from_other_start(historical, vortex):
     config = ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)
     grid = build_shooting_grid(historical, Q0_WEAK, config)
-    with pytest.raises(ValueError, match="grid starts at"):
+    with pytest.raises(ValueError, match="grid was built for another"):
         value_function(historical, Q0_STRONG, (0.3, 2.0), config, grid)
+    # a grid of another problem or config would give a plausible but wrong value
+    with pytest.raises(ValueError, match="grid was built for another"):
+        value_function(historical, Q0_WEAK, (0.3, 0.5), ShootingConfig(t_max=2.0), grid)
+    q0 = (0.5, 0.5)  # a start in both domains
+    with pytest.raises(ValueError, match="grid was built for another"):
+        value_function(vortex, q0, (0.6, 0.5), config, build_shooting_grid(historical, q0, config))
     assert value_function(historical, Q0_WEAK, (0.3, 0.5), config, grid).reachable
 
 
@@ -390,14 +396,14 @@ def test_value_samples_batch_equals_singles(historical, vortex):
         abnormal_point(1.0),
         reach(historical, Q0_STRONG, -1.0, 0.5),
     ]
-    batch = _value_samples(historical, Q0_STRONG, targets, config, grid)
+    batch = _value_samples(grid, targets)
     singles = [value_function(historical, Q0_STRONG, tgt, config, grid) for tgt in targets]
     assert batch == singles
     assert [s.flag for s in batch].count("unreachable") == 1
     assert batch[1].t_min == 0.0
 
     _, q0, config, grid, targets, _ = _vortex_case(vortex)
-    batch = _value_samples(vortex, q0, targets, config, grid)
+    batch = _value_samples(grid, targets)
     assert batch == [value_function(vortex, q0, tgt, config, grid) for tgt in targets]
     assert [s.reachable for s in batch] == [True, False, True, True, True]
 
@@ -406,7 +412,7 @@ def test_powerlaw_value_samples_batch_equals_singles():
     # powerlaw profiles are powers of r: equal results need the lane kernel
     # and the scalar stepper, which finishes its last lanes, to agree bit for bit
     problem, q0, config, grid, targets, _ = _powerlaw_case()
-    batch = _value_samples(problem, q0, targets, config, grid)
+    batch = _value_samples(grid, targets)
     assert batch == [value_function(problem, q0, tgt, config, grid) for tgt in targets]
     assert all(s.reachable for s in batch)
 
@@ -441,7 +447,7 @@ def test_two_stage_polish_matches_one_stage(vortex, family):
         _vortex_case(vortex) if family == "vortex" else _powerlaw_case()
     )
     moving = [i for i, tgt in enumerate(targets) if tgt != q0]
-    samples = _value_samples(problem, q0, [targets[i] for i in moving], config, grid)
+    samples = _value_samples(grid, [targets[i] for i in moving])
     reference = _one_stage(problem, q0, [targets[i] for i in moving], config, grid)
     assert [s.reachable for s in samples] == [math.isfinite(t) for t, _, _ in reference]
     assert any(s.reachable for s in samples)
@@ -463,7 +469,7 @@ def test_second_stage_polishes_only_landed_lanes(vortex, monkeypatch):
         return result
 
     monkeypatch.setattr(reachability, "_newton_polish", spy)
-    _value_samples(problem, q0, targets, config, grid)
+    _value_samples(grid, targets)
     (targets_1, _, _, tol_1, control_1, (al, tt, residual, _)), second = calls
     assert control_1 == reachability.COARSE_CONTROL
     assert tol_1 == max(reachability.COARSE_LANDING, config.position_tol)
@@ -493,7 +499,7 @@ def test_value_sample_counts_newton_iterations(historical):
     config = ShootingConfig(t_max=3.0)
     grid = build_shooting_grid(historical, Q0_STRONG, config)
     targets = [reach(historical, Q0_STRONG, 0.3, 0.7), abnormal_point(0.4)]
-    samples = _value_samples(historical, Q0_STRONG, targets, config, grid)
+    samples = _value_samples(grid, targets)
     for sample, (t_ref, heading_ref, its) in zip(
         samples, _one_stage(historical, Q0_STRONG, targets, config, grid)
     ):
@@ -802,7 +808,9 @@ def test_cut_locus_arcs(historical):
     grid = build_shooting_grid(historical, Q0_STRONG, config)
     for point in estimate.separating_points:
         sample = value_function(historical, Q0_STRONG, point.position, config, grid)
-        expected = sample.reachable and abs(sample.t_min - point.t) <= 1e-4 * (1.0 + point.t) * 100.0
+        expected = sample.reachable and (
+            abs(sample.t_min - point.t) <= reachability.SPHERE_TOL * (1.0 + point.t) * 100.0
+        )
         assert point.confirmed == expected
 
 
