@@ -20,15 +20,15 @@ headings, so the slow candidates spend their many iterations on the cheap
 map.  The backtracking line search (Dennis and Schnabel, "Numerical Methods
 for Unconstrained Optimization and Nonlinear Equations", 1983, section 6.3)
 tries the step lengths 1, 1/2, 1/4, ... in doubling blocks of 1, 1, 2, 4,
-... lengths, one ``endpoints`` batch per block, and each lane takes the
-first length that lowers its residual.  The lengths are exact powers of two
-and a lane's endpoint does not depend on its batch, so every iterate is
-bit-identical to halving one length per batch.  A line-search trial past
-twice ``t_max`` is never integrated: it cannot give a value and would cost
-a long integration.  The minimal polished arrival time over all candidates
-is reported, with the Newton iterations of the achieving candidate over
-both stages (``n_newton``); a scan that finds nothing up to ``t_max``
-yields an unreachable marker, which is a value, not an error.
+... lengths, one ``endpoints`` batch per block; each lane takes the first
+length that lowers its residual, the iterate halving one length per batch
+would give (the lengths are exact, and a lane's endpoint does not depend on
+its batch).  A line-search trial past twice ``t_max`` is never integrated:
+it cannot give a value and would cost a long integration.  The minimal
+polished arrival time over all candidates is reported, with the Newton
+iterations of the achieving candidate over both stages (``n_newton``).  A
+target with no candidate node, or none that lands by ``t_max``, is
+unreachable: a value, not an error.
 
 The grid is the whole shooting context: it carries the problem, start and
 config it was built from, and shooting reads them from the grid alone.  It
@@ -39,7 +39,7 @@ rather than a scan of every node.  Tiles are local in index space, so lanes
 whose chart angle winds far from the rest of a polar grid widen only their
 own tiles.  Every sphere, scan and cut-locus estimate builds one grid and
 polishes every candidate of every target in one Newton batch; a cut-locus
-estimate first collects the crossings of all its fronts.
+estimate first collects the crossings of all its (untagged) fronts.
 """
 
 from __future__ import annotations
@@ -261,13 +261,19 @@ class CutLocusEstimate:
 # -- shooting ----------------------------------------------------------------
 
 
+def _heading_circle(n: int) -> np.ndarray:
+    """``n`` evenly spaced headings in (-pi, pi], ending at pi: the circle a front images."""
+    if n < 8:
+        raise ValueError("wavefront needs at least 8 headings")
+    return -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
+
+
 def build_shooting_grid(
     problem: ProblemDefinition, q0, config: ShootingConfig | None = None
 ) -> ShootingGrid:
     """Dense endpoint grid over evenly spaced headings and times up to t_max."""
     config = config or ShootingConfig()
-    n = config.n_alpha
-    alphas = -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
+    alphas = _heading_circle(config.n_alpha)
     times = np.linspace(0.0, config.t_max, config.n_time)
     q0 = (float(q0[0]), float(q0[1]))
     positions = endpoints(problem, q0, alphas, times[None, :])
@@ -297,7 +303,7 @@ def _candidate_nodes(grid: ShootingGrid, target):
     A candidate lies within its capture radius of the target, and none of
     its heading neighbours (which wrap) or time neighbours (which do not) is
     closer.  Rows ``(i_heading, i_time)`` come in row-major order, cut to
-    the ``MAX_CANDIDATES`` nearest; with no candidate, the nearest finite node.
+    the ``MAX_CANDIDATES`` nearest; there may be none.
     """
     tx, ty = float(target[0]), float(target[1])
     n_alpha, n_time = grid.cell.shape
@@ -325,11 +331,7 @@ def _candidate_nodes(grid: ShootingGrid, target):
         nodes, d = nodes[keep], d[keep]
     order = np.argsort(nodes)
     nodes, d = nodes[order], d[order]
-    if nodes.shape[0] == 0:
-        d = distance(slice(None))
-        if np.any(np.isfinite(d)):
-            nodes = np.array([int(np.argmin(d))])
-    elif nodes.shape[0] > MAX_CANDIDATES:
+    if nodes.shape[0] > MAX_CANDIDATES:
         nodes = nodes[np.argsort(d)[:MAX_CANDIDATES]]
     return np.stack(np.divmod(nodes, n_time), axis=-1)
 
@@ -509,17 +511,13 @@ def wavefront(
     marked not-ok.  ``include_headings`` lets callers pin extra headings
     (e.g. the abnormal ones) onto the front exactly.
     """
-    if n_alpha < 8:
-        raise ValueError("wavefront needs at least 8 headings")
+    base = _heading_circle(n_alpha)
     if not t > 0.0:
         raise ValueError("wavefront time must be positive")
     x0, y0 = float(q0[0]), float(q0[1])
-    base = -math.pi + 2.0 * math.pi * np.arange(1, n_alpha + 1) / n_alpha
     extra = np.asarray(wrap_angle(np.asarray(list(include_headings), dtype=float)))
     alphas = np.sort(np.concatenate((base, np.atleast_1d(extra)))) if extra.size else base
-    keep = np.ones(alphas.shape[0], dtype=bool)
-    keep[1:] = np.diff(alphas) > 1e-15
-    alphas = alphas[keep]
+    alphas = alphas[np.concatenate(([True], np.diff(alphas) > 1e-15))]
 
     positions = endpoints(problem, (x0, y0), alphas, (float(t),), control)[:, 0]
     ok = np.isfinite(positions[:, 0])
@@ -527,7 +525,7 @@ def wavefront(
     return Wavefront(problem, (x0, y0), float(t), alphas, positions, tags, ok)
 
 
-def _forward_cusp_time(problem: ProblemDefinition, state0: ExtendedState, t_max: float) -> float:
+def _cusp_time(problem: ProblemDefinition, state0: ExtendedState, t_max: float) -> float:
     """Forward cusp time of the abnormal from ``state0``; inf if none.
 
     Analytic for the historical problem, else searched numerically up to ``t_max``.
@@ -539,17 +537,8 @@ def _forward_cusp_time(problem: ProblemDefinition, state0: ExtendedState, t_max:
     return math.inf if cp is None else cp.t_cusp
 
 
-def _abnormal_arc(
-    problem: ProblemDefinition, q0, heading: float, t: float, t_cusp: float | None = None
-) -> GeodesicTrajectory:
-    """The abnormal from ``q0`` up to ``t``, truncated at its forward cusp.
-
-    ``t_cusp`` is the cusp time when the caller has already searched for it.
-    """
-    state0 = ExtendedState(q0[0], q0[1], heading)
-    if t_cusp is None:
-        t_cusp = _forward_cusp_time(problem, state0, t)
-    t_arc = min(t, t_cusp)
+def _abnormal_arc(problem: ProblemDefinition, state0: ExtendedState, t_arc: float):
+    """The abnormal from ``state0`` up to ``t_arc``, which callers cut at its cusp."""
     if problem.family == "historical":
         return closed_form_trajectory(problem, state0, t_arc, n_samples=256)
     return integrate_numeric(problem, state0, t_arc)
@@ -578,7 +567,8 @@ def sphere_and_ball(
     samples = _value_samples(build_shooting_grid(problem, q0, config), front.positions[front.ok])
     t_min[front.ok] = [sample.t_min for sample in samples]
     is_sphere = np.abs(t_min - t) <= SPHERE_TOL * (1.0 + t)
-    arcs = [_abnormal_arc(problem, q0, h, t) for h in heads]
+    starts = [ExtendedState(q0[0], q0[1], h) for h in heads]
+    arcs = [_abnormal_arc(problem, s, min(t, _cusp_time(problem, s, t))) for s in starts]
     return SphereAndBall(front=front, t_min=t_min, is_sphere=is_sphere, abnormal_arcs=arcs)
 
 
@@ -688,11 +678,9 @@ def cut_locus_estimate(
     if float(current_norm(problem, radius)) <= 1.0:
         raise ValueError("cut-locus estimation is only supported at strong-current starts")
     heads = abnormal_headings(problem, radius)
-    cusp_times = [None] * len(heads)
+    starts = [ExtendedState(q0[0], q0[1], h) for h in heads]
+    cusp_times = [_cusp_time(problem, s, 20.0 if t_max is None else t_max) for s in starts]
     if t_max is None:
-        cusp_times = [
-            _forward_cusp_time(problem, ExtendedState(q0[0], q0[1], h), 20.0) for h in heads
-        ]
         t_cusp = min(cusp_times, default=math.inf)
         if math.isinf(t_cusp):
             raise ValueError(
@@ -701,15 +689,16 @@ def cut_locus_estimate(
         t_max = 1.5 * t_cusp
     if config.t_max < t_max:
         config = dataclasses.replace(config, t_max=float(t_max))
-    arcs = [_abnormal_arc(problem, q0, h, t_max, tc) for h, tc in zip(heads, cusp_times)]
+    arcs = [_abnormal_arc(problem, s, min(t_max, tc)) for s, tc in zip(starts, cusp_times)]
 
+    alphas = _heading_circle(n_alpha)
+    par = np.concatenate((alphas, alphas[:1] + 2.0 * math.pi))  # closes each front
     crossings = []  # (t_k, heading a, heading b, position) over every front
     for t_k in np.linspace(0.35, 1.0, N_FRONT_TIMES) * t_max:
-        front = wavefront(problem, q0, float(t_k), n_alpha)
-        if not np.all(front.ok):
+        front = endpoints(problem, q0, alphas, (float(t_k),))[:, 0]
+        if not np.all(np.isfinite(front[:, 0])):  # a lane left the domain
             continue
-        pts = np.vstack((front.positions, front.positions[:1]))
-        par = np.concatenate((front.alpha0, front.alpha0[:1] + 2.0 * math.pi))
+        pts = np.vstack((front, front[:1]))
         crossings += [(float(t_k), *hit) for hit in polyline_self_intersections(pts, par)]
     samples = _value_samples(
         build_shooting_grid(problem, q0, config), [pos for *_, pos in crossings]

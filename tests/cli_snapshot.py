@@ -1,0 +1,72 @@
+"""Run a fixed set of CLI commands and keep everything they produce.
+
+Usage::
+
+    PYTHONPATH=src python tests/cli_snapshot.py OUTDIR
+
+Each command runs as ``python -m zermelo.cli ... --out .`` in its own
+directory under ``OUTDIR``, and its stdout, stderr and exit code are saved
+there next to its output files.  The ``zermelo`` package is the one
+``PYTHONPATH`` points at, so two checkouts compare byte for byte with one
+run each and ``diff -r``::
+
+    PYTHONPATH=old/src python tests/cli_snapshot.py /tmp/old
+    PYTHONPATH=new/src python tests/cli_snapshot.py /tmp/new
+    diff -r /tmp/old /tmp/new
+
+The commands are the seven README historical commands plus vortex and
+powerlaw commands that reach the numeric integrator, the numeric cusp
+search, shooting and the cut-locus estimate.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+POWERLAW_13 = '{"family": "powerlaw", "k": 1.0, "a": -3.0, "b": 1.0}'
+POWERLAW_22 = '{"family": "powerlaw", "k": 2.0, "a": -2.0, "b": 1.0}'
+
+COMMANDS = [  # (directory name, problem, command and its arguments)
+    ("historical-classify", "historical", "classify --state 0,2,0"),
+    ("historical-integrate", "historical", "integrate --state 0,2,-2.0944 --t 2"),
+    ("historical-cusp", "historical", "cusp --state 0,2,-2.0944"),
+    ("historical-wavefront", "historical", "wavefront --q0 0,2 --t 0.3 --n 256"),
+    ("historical-ball", "historical", "ball --q0 0,2 --t 0.3 --n 96"),
+    ("historical-value", "historical",
+     "value --q0 0,2 --segment 1.039,1.298:0.879,1.180 --n 200"),
+    ("historical-synthesis", "historical", "synthesis --q0 0,2 --t-max 2.5"),
+    ("vortex-integrate-strong", "vortex", "integrate --state 0.5,0,1.1 --t 2"),
+    ("vortex-integrate-centre", "vortex", "integrate --state 0.2,0,3.14159 --t 0.5"),
+    ("vortex-cusp", "vortex", "cusp --state 0.5,0,-0.5235987755982991 --t-max 3"),
+    ("vortex-wavefront", "vortex", "wavefront --q0 0.5,0 --t 0.3 --n 64"),
+    ("vortex-ball-16", "vortex", "ball --q0 0.5,0 --t 0.15 --t-max 0.5 --n 16"),
+    ("vortex-ball-32", "vortex", "ball --q0 0.5,0 --t 0.15 --t-max 0.5 --n 32"),
+    ("vortex-synthesis", "vortex", "synthesis --q0 0.5,0 --n 32"),
+    ("powerlaw13-integrate", POWERLAW_13, "integrate --state 0.5,0,0.9 --t 1 --tol 1e-9"),
+    ("powerlaw13-cusp", POWERLAW_13, "cusp --state 0.5,0,-0.2526802551420788"),
+    ("powerlaw13-wavefront", POWERLAW_13, "wavefront --q0 0.5,0 --t 0.3 --n 64"),
+    ("powerlaw22-synthesis", POWERLAW_22, "synthesis --q0 1.5,0 --n 32"),
+]
+
+
+def snapshot(outdir: Path) -> None:
+    for i, (name, problem, command) in enumerate(COMMANDS, start=1):
+        work = outdir / f"{i:02d}-{name}"
+        work.mkdir(parents=True)
+        sub, *args = command.split()
+        done = subprocess.run(
+            [sys.executable, "-m", "zermelo.cli", sub, "--problem", problem, *args, "--out", "."],
+            cwd=work, capture_output=True,
+        )
+        (work / "stdout.txt").write_bytes(done.stdout)
+        (work / "stderr.txt").write_bytes(done.stderr)
+        (work / "exit_code.txt").write_text(f"{done.returncode}\n")
+        print(f"{work.name}: exit {done.returncode}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/cli_snapshot.py OUTDIR")
+    snapshot(Path(sys.argv[1]))

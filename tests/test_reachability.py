@@ -249,9 +249,6 @@ def _full_scan_candidates(grid, target):
     capture = reachability.CAPTURE_FACTOR * np.fmax(grid.cell, 1e-12)
     mask = local & np.isfinite(d) & (d <= capture)
     idx = np.argwhere(mask)
-    if idx.shape[0] == 0 and np.any(np.isfinite(d)):
-        flat = int(np.argmin(d))
-        idx = np.array([[flat // d.shape[1], flat % d.shape[1]]])
     if idx.shape[0] > reachability.MAX_CANDIDATES:
         order = np.argsort(d[idx[:, 0], idx[:, 1]])[: reachability.MAX_CANDIDATES]
         idx = idx[order]
@@ -291,7 +288,7 @@ def test_candidate_index_matches_full_scan(historical, vortex, family, q0, confi
         np.testing.assert_array_equal(found, expected)
         sizes.append(found.shape[0])
     assert max(sizes) > 1
-    assert sizes[-3:] == [1, 1, 1]  # the nearest-node fallback
+    assert sizes[-3:] == [0, 0, 0]  # far targets have no candidate
 
 
 def _roll_local_cell(positions):
@@ -510,8 +507,9 @@ def test_value_sample_counts_newton_iterations(historical):
 
 
 def test_newton_trials_stay_below_twice_t_max(vortex, monkeypatch):
-    # one candidate whose first Newton step asks for t ~ 1e5: integrating that
-    # trial and its halvings costs seconds, and the target is out of reach anyway
+    # the target lies on the t = 0.6 front, beyond t_max; Newton steps of its
+    # candidates ask for times far past the horizon, whose integration would
+    # cost seconds and could not give a value
     q0 = (0.5, 0.0)
     config = ShootingConfig(t_max=0.5, n_alpha=240, n_time=160)
     grid = build_shooting_grid(vortex, q0, config)
@@ -523,9 +521,27 @@ def test_newton_trials_stay_below_twice_t_max(vortex, monkeypatch):
         return real(problem, q0, headings, ts, control)
 
     monkeypatch.setattr(reachability, "endpoints", spy)
-    sample = value_function(vortex, q0, (0.6, 0.2), config, grid)
+    sample = value_function(vortex, q0, (0.627, 4.373), config, grid)
+    assert sample.n_candidates > 0
     assert sample.flag == "unreachable"
     assert asked and max(asked) <= 2.0 * config.t_max
+
+
+def test_target_without_candidates_runs_no_newton(historical, monkeypatch):
+    config = ShootingConfig(t_max=3.0)
+    grid = build_shooting_grid(historical, Q0_STRONG, config)
+    calls = []
+    real = reachability.endpoints
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reachability, "endpoints", spy)
+    sample = value_function(historical, Q0_STRONG, (-40.0, 2.0), config, grid)
+    assert sample.flag == "unreachable" and not sample.reachable
+    assert (sample.n_candidates, sample.n_newton) == (0, 0)
+    assert calls == []
 
 
 def _halving_polish(problem, q0, targets, a0, t0, position_tol, t_max, control=None):
@@ -812,6 +828,24 @@ def test_cut_locus_arcs(historical):
             abs(sample.t_min - point.t) <= reachability.SPHERE_TOL * (1.0 + point.t) * 100.0
         )
         assert point.confirmed == expected
+
+
+def test_cut_locus_fronts_are_not_classified(historical, monkeypatch):
+    # the fronts only feed crossings; tagging their headings would be thrown away
+    calls = []
+    for name in ("classify", "wavefront"):
+        real = getattr(reachability, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(reachability, name, spy)
+    estimate = cut_locus_estimate(
+        historical, Q0_STRONG, 2.5, n_alpha=96, config=ShootingConfig(t_max=2.5)
+    )
+    assert calls == []
+    assert len(estimate.arcs) == 2
 
 
 def test_cut_locus_truncates_at_t_max(historical):
