@@ -16,11 +16,17 @@ once: one numpy loop advances every running lane by one trial step.  The
 running lanes' (t, r, theta, alpha, h) are the columns of one (5, N) array,
 beside their indices and next targets.  Each pass records the status of
 every lane that stops (all targets filled, a descending target, a step
-size below the floor, ``max_steps`` passed, a domain exit), and one
+size below the floor, ``MAX_STEPS`` passed, a domain exit), and one
 statement drops them.  Both steppers name a floor halt by ``_floor_halt``.
 When fewer than ``TAIL_LANES`` lanes remain, each one finishes in the
 scalar stepper, resumed from its column.  The right-hand side reads the
 family profiles from ``problems.profile_table``.
+
+Each driver takes one tolerance ``tol``, relative and absolute alike, and
+the domain ``(dom_lo, dom_hi)``, and returns the samples it allocates.  The
+stepper's limits are the module constants ``MAX_STEP``, ``MAX_STEPS`` and
+``BOUNDARY_PAD``, and every driver halts by one step rule: a lane that
+takes more than ``MAX_STEPS`` trial steps stops with ``STATUS_MAX_STEPS``.
 
 A lane's samples must not depend on the batch it runs in, so the numpy
 step and the scalar step produce the same bits.  ``+ - * /``, ``sqrt``,
@@ -75,6 +81,13 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 _H_FLOOR = 1e-14
 
+# fixed limits of the adaptive 5(4) stepper: the largest step, the trial
+# steps a lane may take, and the distance from the domain boundary that
+# halts a lane
+MAX_STEP = 0.25
+MAX_STEPS = 200_000
+BOUNDARY_PAD = 1e-6
+
 # a numpy step of the lane kernel costs about as much as 16 scalar steps
 # (about 200 us against 13 us on a 2-vCPU x86 VM), so below this many
 # running lanes the scalar stepper finishes the batch
@@ -96,7 +109,7 @@ def _floor_halt(r, dom_lo, dom_hi):
     return np.where(near, STATUS_DOMAIN_EXIT, STATUS_STEP_COLLAPSE)
 
 
-def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol, k1):
+def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
     """One trial Dormand-Prince step from ``(r, th, al)``, where the RHS is ``k1``.
 
     Returns ``(r5, th5, al5, err, k7)``: ``k7`` is the RHS at the 5th-order
@@ -148,17 +161,17 @@ def _attempt_step(code, k, a, b, r, th, al, h, rtol, atol, k1):
     et = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
     ea = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
 
-    sr = atol + rtol * max(abs(r), abs(r5))
-    st = atol + rtol * max(abs(th), abs(th5))
-    sa = atol + rtol * max(abs(al), abs(al5))
+    sr = tol + tol * max(abs(r), abs(r5))
+    st = tol + tol * max(abs(th), abs(th5))
+    sa = tol + tol * max(abs(al), abs(al5))
     err = math.sqrt(((er / sr) ** 2 + (et / st) ** 2 + (ea / sa) ** 2) / 3.0)
     if not math.isfinite(err):
         err = math.inf
     return r5, th5, al5, err, k7
 
 
-def _new_h(h_try, err, max_step):
-    """Step size after a trial step ``h_try`` with error norm ``err``, capped at ``max_step``.
+def _new_h(h_try, err):
+    """Step size after a trial step ``h_try`` with error norm ``err``, capped at ``MAX_STEP``.
 
     The factor is ``0.9 err^-0.2`` clipped to [0.2, 5] (Dormand & Prince,
     J. Comput. Appl. Math. 6, 1980), and 0.5 at err = inf.
@@ -169,102 +182,85 @@ def _new_h(h_try, err, max_step):
         factor = 0.5
     else:
         factor = min(max(0.9 * err ** -0.2, 0.2), 5.0)
-    return min(h_try * factor, max_step)
+    return min(h_try * factor, MAX_STEP)
 
 
-def _advance(
-    code, k, a, b, t, r, th, al, h, steps, target,
-    rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, k1,
-):
+def _advance(code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1):
     """Trial steps from time ``t`` toward ``target`` until one is accepted or the lane halts.
 
     ``k1`` is the RHS at ``(r, al)``.  Returns ``(t, r, th, al, h, steps,
-    status, k1)``: ``steps`` counts trial steps against ``max_steps``, the
-    status is ``STATUS_DOMAIN_EXIT`` if the accepted radius is within
-    ``pad`` of the domain boundary, and ``k1`` is the RHS at the returned
-    state.  A halt before any step is accepted returns the state it was given.
+    status, k1)``: ``steps`` counts the lane's trial steps against
+    ``MAX_STEPS``, the status is ``STATUS_DOMAIN_EXIT`` if the accepted
+    radius is within ``BOUNDARY_PAD`` of the domain boundary, and ``k1`` is
+    the RHS at the returned state.  A halt before any step is accepted
+    returns the state it was given.
     """
     while True:
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1
         if h < _H_FLOOR * max(1.0, abs(t)):
             return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1
         h_try = min(h, target - t)
-        r5, th5, al5, err, k7 = _attempt_step(code, k, a, b, r, th, al, h_try, rtol, atol, k1)
-        h = _new_h(h_try, err, max_step)
+        r5, th5, al5, err, k7 = _attempt_step(code, k, a, b, r, th, al, h_try, tol, k1)
+        h = _new_h(h_try, err)
         if err <= 1.0:
             break
-    if r5 <= dom_lo + pad or r5 >= dom_hi - pad:
+    if r5 <= dom_lo + BOUNDARY_PAD or r5 >= dom_hi - BOUNDARY_PAD:
         return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7
     return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7
 
 
-def rk45_trajectory(
-    code, k, a, b, r0, th0, al0, t_final, rtol, atol, max_step, dom_lo, dom_hi, pad, out_t, out_y,
-    stop_at_turn=False,
-):
+def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, stop_at_turn=False):
     """Integrate to ``t_final`` storing every accepted step.
 
-    ``out_t`` (n_max,) and ``out_y`` (n_max, 3) are caller-allocated; row 0
-    receives the initial state.  Returns ``(n_stored, status)``; the row
-    that leaves the domain is stored.  With ``stop_at_turn`` the lane ends
-    with ``STATUS_RADIAL_TURN`` after storing the first accepted step whose
+    Returns ``(n_stored, status, t, y)``: the times (n_stored,) and states
+    (n_stored, 3) of the start and of every accepted step, the one that
+    leaves the domain included.  With ``stop_at_turn`` the lane ends with
+    ``STATUS_RADIAL_TURN`` after storing the first accepted step whose
     radial velocity ``cos(alpha)`` has the opposite sign to the start's;
     the steps before it do not depend on ``t_final``.
     """
-    n_max = out_t.shape[0]
-    out_t[0] = 0.0
-    out_y[0, 0] = r0
-    out_y[0, 1] = th0
-    out_y[0, 2] = al0
-    n = 1
+    out_t = [0.0]
+    out_y = [r0, th0, al0]
     t, r, th, al = 0.0, r0, th0, al0
-    h = min(max_step, t_final, 1e-3)
+    h = min(MAX_STEP, t_final, 1e-3)
     k1 = rhs(code, k, a, b, r, al)
     radial0 = k1[0]  # cos(alpha0)
+    steps = 0
     status = STATUS_OK
     while t < t_final:
-        if n >= n_max:
-            return n, STATUS_MAX_STEPS
-        t_new, r, th, al, h, _, status, k1 = _advance(
-            code, k, a, b, t, r, th, al, h, 0, t_final,
-            rtol, atol, max_step, dom_lo, dom_hi, pad, math.inf, k1,
+        t_new, r, th, al, h, steps, status, k1 = _advance(
+            code, k, a, b, t, r, th, al, h, steps, t_final, tol, dom_lo, dom_hi, k1
         )
         if t_new > t:  # a step was accepted; a halt leaves t where it was
             t = t_new
-            out_t[n] = t  # scalar stores cost less than a tuple into the row
-            out_y[n, 0] = r
-            out_y[n, 1] = th
-            out_y[n, 2] = al
-            n += 1
+            out_t.append(t)
+            out_y += (r, th, al)
             if stop_at_turn and status == STATUS_OK and radial0 * k1[0] < 0.0:
-                return n, STATUS_RADIAL_TURN
+                status = STATUS_RADIAL_TURN
         if status != STATUS_OK:
             break
-    return n, status
+    return len(out_t), status, np.array(out_t), np.array(out_y).reshape(-1, 3)
 
 
-def rk45_at_times(
-    code, k, a, b, r0, th0, al0, ts, rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y
-):
+def rk45_at_times(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     """Integrate hitting each time of the ascending array ``ts`` exactly.
 
-    ``out_y`` has shape (len(ts), 3); rows past a premature halt are left
-    untouched (callers pre-fill with nan).  Returns ``(n_filled, status)``.
+    Returns ``(n_filled, status, y)``: ``y`` (len(ts), 3) holds the state at
+    each time, nan in the rows past a premature halt.
     """
-    return _resume_at_times(
-        code, k, a, b, 0.0, r0, th0, al0, min(max_step, 1e-3), 0, 0, ts,
-        rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y,
+    y = np.full((ts.shape[0], 3), np.nan)
+    n_filled, status = _resume_at_times(
+        code, k, a, b, 0.0, r0, th0, al0, min(MAX_STEP, 1e-3), 0, 0, ts, tol, dom_lo, dom_hi, y
     )
+    return n_filled, status, y
 
 
-def _resume_at_times(
-    code, k, a, b, t, r, th, al, h, steps, first, ts,
-    rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y,
-):
+def _resume_at_times(code, k, a, b, t, r, th, al, h, steps, first, ts, tol, dom_lo, dom_hi, out_y):
     """:func:`rk45_at_times` resumed at time ``t`` with step ``h``, ``steps``
-    trial steps taken and the rows before ``first`` already filled."""
+    trial steps taken and the rows before ``first`` already filled; writes
+    the rows of ``out_y`` and returns ``(n_filled, status)``."""
     k1 = rhs(code, k, a, b, r, al)
     for i in range(first, ts.shape[0]):
         target = ts[i]
@@ -272,8 +268,7 @@ def _resume_at_times(
             return i, STATUS_STEP_COLLAPSE
         while t < target:
             t, r, th, al, h, steps, status, k1 = _advance(
-                code, k, a, b, t, r, th, al, h, steps, target,
-                rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, k1,
+                code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1
             )
             if status != STATUS_OK:
                 return i, status
@@ -295,7 +290,7 @@ def _lane_rhs(code, k, a, b, y, out):
     np.subtract(mup * m * sa * sa, mp * sa / m, out=out[2])
 
 
-def _attempt_lanes(code, k, a, b, y, h, rtol, atol):
+def _attempt_lanes(code, k, a, b, y, h, tol):
     """:func:`_attempt_step` on every lane of ``y`` (3, N) with steps ``h`` (N,).
 
     Returns the 5th-order states (3, N) and the error norms (N,), inf where
@@ -316,33 +311,32 @@ def _attempt_lanes(code, k, a, b, y, h, rtol, atol):
     y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
     _lane_rhs(code, k, a, b, y5, k7)
     e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    q = np.float_power(e / (atol + rtol * np.maximum(np.abs(y), np.abs(y5))), 2.0)
+    q = np.float_power(e / (tol + tol * np.maximum(np.abs(y), np.abs(y5))), 2.0)
     err = np.sqrt((q[0] + q[1] + q[2]) / 3.0)
     err[~(np.isfinite(y5).all(axis=0) & np.isfinite(err))] = math.inf
     return y5, err
 
 
-def rk45_lanes(
-    code, k, a, b, r0, th0, al0, ts, rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y
-):
+def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     """:func:`rk45_at_times` on N lanes at once.
 
     Lane ``i`` starts at ``(r0, th0, al0)`` (each a scalar or an (N,) array)
-    and hits the ascending times ``ts[i]`` exactly; ``ts`` is (N, M) and
-    ``out_y`` (N, M, 3), pre-filled with nan by the caller.  Each lane takes
-    the steps, and fills the rows, that :func:`rk45_at_times` gives it
-    alone, bit for bit.  Returns the status of each lane, an (N,) array.
+    and hits the ascending times ``ts[i]`` exactly; ``ts`` is (N, M).  Each
+    lane takes the steps, and fills the rows, that :func:`rk45_at_times`
+    gives it alone, bit for bit.  Returns ``(status, y)``: the status of
+    each lane (N,) and the states (N, M, 3), nan past a lane's halt.
     """
     n, n_t = ts.shape
     status = np.full(n, STATUS_OK)
+    out_y = np.full((n, n_t, 3), np.nan)
     if n_t == 0:
-        return status
+        return status, out_y
     # the lanes still running: their indices, their states (t, r, theta,
     # alpha, h) and their next targets; every running lane has taken the
     # same number of trial steps, one per pass of the loop
     lane = np.arange(n)
     s = np.empty((5, n))
-    s[0], s[1], s[2], s[3], s[4] = 0.0, r0, th0, al0, min(max_step, 1e-3)
+    s[0], s[1], s[2], s[3], s[4] = 0.0, r0, th0, al0, min(MAX_STEP, 1e-3)
     nxt = np.zeros(n, dtype=np.int64)
     target = ts[:, 0]
     stop = np.full(n, -1)  # the status each lane stops with in this pass; -1 runs on
@@ -369,12 +363,12 @@ def rk45_lanes(
                 break
 
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_STEPS:
                 stop[:] = STATUS_MAX_STEPS
                 continue
             t, y, h = s[0], s[1:4], s[4]
             h_try = np.minimum(h, target - t)
-            y5, err = _attempt_lanes(code, k, a, b, y, h_try, rtol, atol)
+            y5, err = _attempt_lanes(code, k, a, b, y, h_try, tol)
             ok = ~(err > 1.0)
             floor = h < _H_FLOOR * np.maximum(1.0, np.abs(t))
             if np.count_nonzero(floor):  # these lanes halt before their step, where they are
@@ -385,12 +379,13 @@ def rk45_lanes(
             # the step size of _new_h: at err = 0 the power is inf and clips to 5
             factor = np.minimum(np.maximum(0.9 * np.float_power(err, -0.2), 0.2), 5.0)
             factor[err == math.inf] = 0.5
-            np.minimum(h_try * factor, max_step, out=h)
-            stop[ok & ((y[0] <= dom_lo + pad) | (y[0] >= dom_hi - pad))] = STATUS_DOMAIN_EXIT
+            np.minimum(h_try * factor, MAX_STEP, out=h)
+            out_of_domain = (y[0] <= dom_lo + BOUNDARY_PAD) | (y[0] >= dom_hi - BOUNDARY_PAD)
+            stop[ok & out_of_domain] = STATUS_DOMAIN_EXIT
 
     for j, i in enumerate(lane.tolist()):  # the last few lanes, each in the scalar stepper
         status[i] = _resume_at_times(
             code, k, a, b, *s[:, j].tolist(), steps, int(nxt[j]), ts[i],
-            rtol, atol, max_step, dom_lo, dom_hi, pad, max_steps, out_y[i],
+            tol, dom_lo, dom_hi, out_y[i],
         )[1]
-    return status
+    return status, out_y

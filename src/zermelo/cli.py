@@ -98,8 +98,8 @@ def _step_control(args) -> StepControl:
     tol = getattr(args, "tol", None)
     if tol is None:
         return StepControl()
-    if tol <= 0:
-        raise ConfigError("--tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {tol!r}")
     return StepControl(tol)
 
 
@@ -170,8 +170,8 @@ def cmd_classify(args) -> int:
 def cmd_integrate(args) -> int:
     problem = _parse_problem(args.problem)
     c1, c2, heading = _parse_floats(args.state, 3, "--state")
-    if args.t <= 0:
-        raise ConfigError("--t must be given and positive")
+    if not 0.0 < args.t < math.inf:
+        raise ConfigError(f"--t must be positive and finite, got {args.t!r}")
     control = _step_control(args)
     traj = integrate_numeric(problem, ExtendedState(c1, c2, heading), args.t, control)
     out = _out_dir(args)
@@ -260,8 +260,8 @@ def _front_figure(problem, front, extra_arrays=()):
 def cmd_wavefront(args) -> int:
     problem = _parse_problem(args.problem)
     q0 = _parse_floats(args.q0, 2, "--q0")
-    if args.t <= 0:
-        raise ConfigError("--t must be given and positive")
+    if not 0.0 < args.t < math.inf:
+        raise ConfigError(f"--t must be positive and finite, got {args.t!r}")
     if args.n < 8:
         raise ConfigError("--n must be at least 8")
     control = _step_control(args)
@@ -280,8 +280,8 @@ def cmd_wavefront(args) -> int:
 def cmd_ball(args) -> int:
     problem = _parse_problem(args.problem)
     q0 = _parse_floats(args.q0, 2, "--q0")
-    if args.t <= 0:
-        raise ConfigError("--t must be given and positive")
+    if not 0.0 < args.t < math.inf:
+        raise ConfigError(f"--t must be positive and finite, got {args.t!r}")
     if args.n < 8:
         raise ConfigError("--n must be at least 8")
     config = _shooting_config(args, max(6.0, 2.0 * args.t))
@@ -360,12 +360,12 @@ def cmd_value(args) -> int:
 def cmd_synthesis(args) -> int:
     problem = _parse_problem(args.problem)
     q0 = _parse_floats(args.q0, 2, "--q0")
+    control = _step_control(args)
     try:
         estimate = reachability.cut_locus_estimate(problem, q0, args.t_max, args.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     t_max = max(arc.t_end for arc in estimate.arcs)
-    control = _step_control(args)
     heads = estimate.arc_headings
     rows = []
     polylines = []

@@ -90,8 +90,8 @@ def cusp_numeric(
     abnormal heading exists at the start radius.
     """
     _require_abnormal(problem, state0, tol)
-    if not t_max > 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     heads = abnormal_headings(problem, problem.radius_of(state0.position))
     if not heads:  # a weak-current start, tagged abnormal only under a loose tol
         return None

@@ -7,6 +7,11 @@ normalized to 1 at the start, fixing ``p0 = -1 - p_theta mu(r_0)``), and the
 radial adjoint is reconstructed pointwise from the heading instead of being
 integrated: that keeps the state three-dimensional and ``p_theta`` exactly
 constant.  Conservation is monitored through residuals, never enforced.
+
+Numeric trajectories, samples and endpoints come from the drivers of
+``_kernels``, which own the stepper's limits and return the samples they
+allocate; this module passes them the tolerance of a ``StepControl`` and
+the problem's domain.  Times and tolerances must be positive and finite.
 """
 
 from __future__ import annotations
@@ -51,12 +56,6 @@ STATUS_NAMES = {
 # residual masks: both conserved relations have removable poles at these angles
 SIN_ALPHA_FLOOR = 1e-6
 
-# fixed limits of the adaptive 5(4) stepper: largest step, stored steps per
-# trajectory, and the distance from the domain boundary that halts a lane
-MAX_STEP = 0.25
-MAX_STEPS = 200_000
-BOUNDARY_PAD = 1e-6
-
 
 class IntegrationError(RuntimeError):
     """An endpoint was requested past the point where integration halted."""
@@ -73,8 +72,8 @@ class StepControl:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("step-control tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"step-control tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,8 @@ def first_integral_residuals(problem: ProblemDefinition, traj: GeodesicTrajector
 
 
 def _step_args(problem: ProblemDefinition, control: StepControl) -> tuple:
-    """Kernel arguments after the start and the time: rtol, atol, max step, domain, pad."""
-    return (control.tol, control.tol, MAX_STEP, *problem.domain, BOUNDARY_PAD)
+    """Kernel arguments after the start and the times: the tolerance and the domain."""
+    return (control.tol, *problem.domain)
 
 
 def integrate_numeric(
@@ -237,24 +236,19 @@ def integrate_numeric(
     ``cos(alpha)`` has the opposite sign to the start's; its samples are a
     prefix, bit for bit, of the trajectory to ``t_final``.
     """
-    if not t_final > 0.0:
-        raise ValueError(f"t_final must be positive, got {t_final!r}")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final!r}")
     control = control or StepControl()
     r0, th0, al0 = problem.to_canonical(state0)
     problem.check_domain(r0)
-    n_max = MAX_STEPS + 1
-    out_t = np.empty(n_max)
-    out_y = np.empty((n_max, 3))
     head = (problem.code, problem.k, problem.a, problem.b, float(r0), float(th0), float(al0))
-    n, status = _kernels.rk45_trajectory(
-        *head, float(t_final), *_step_args(problem, control), out_t, out_y, stop_at_radial_turn
+    _, status, t, y = _kernels.rk45_trajectory(
+        *head, float(t_final), *_step_args(problem, control), stop_at_radial_turn
     )
-    t = out_t[:n].copy()
-    states = np.stack(problem.swap(*out_y[:n].T), axis=-1)
     return GeodesicTrajectory(
         problem=problem,
         t=t,
-        states=states,
+        states=np.stack(problem.swap(*y.T), axis=-1),
         adjoint=make_adjoint(problem, state0),
         method=METHOD_NUMERIC_RK,
         status=STATUS_NAMES[status],
@@ -276,8 +270,8 @@ def closed_form_trajectory(
     """Closed-form trajectory sampled on a uniform time grid."""
     if problem.family != "historical":
         raise ValueError("closed-form trajectories exist only for the historical problem")
-    if not t_final > 0.0:
-        raise ValueError(f"t_final must be positive, got {t_final!r}")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final!r}")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     ts = np.linspace(0.0, float(t_final), int(n_samples))
@@ -319,10 +313,9 @@ def endpoints(
         return closedform.historical_endpoints(x0, y0, headings[:, None], ts)
     # one call of the lane kernel; a lane's samples do not depend on its batch
     ts = np.broadcast_to(ts, (headings.shape[0], ts.shape[1]))
-    out = np.full(ts.shape + (3,), np.nan)
-    _kernels.rk45_lanes(
+    _, out = _kernels.rk45_lanes(
         problem.code, problem.k, problem.a, problem.b, r0, th0, problem.swap_heading(headings),
-        ts, *_step_args(problem, control or StepControl()), MAX_STEPS, out,
+        ts, *_step_args(problem, control or StepControl()),
     )
     c1, c2, _ = problem.swap(out[..., 0], out[..., 1], 0.0)
     return np.stack((c1, c2), axis=-1)
@@ -336,7 +329,7 @@ def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:
     one call of the scalar stepper (one short lane costs less there than in
     the lane kernel).
     """
-    if t < 0.0 or t > traj.t_end + 1e-12:
+    if not 0.0 <= t <= traj.t_end + 1e-12:  # nan fails too
         raise ValueError(f"time {t!r} outside trajectory span [0, {traj.t_end}]")
     if traj.method == METHOD_CLOSED_FORM:
         return closedform.historical_state(traj.state(0), float(t))
@@ -348,10 +341,9 @@ def state_at(traj: GeodesicTrajectory, t: float) -> ExtendedState:
     r0, th0, al0 = problem.to_canonical(traj.state(idx))
     problem.check_domain(r0)
     dt = float(t - traj.t[idx])
-    out = np.full((1, 3), np.nan)
     head = (problem.code, problem.k, problem.a, problem.b, float(r0), float(th0), float(al0))
-    filled, status = _kernels.rk45_at_times(
-        *head, np.array([dt]), *_step_args(problem, traj.control), MAX_STEPS, out
+    filled, status, out = _kernels.rk45_at_times(
+        *head, np.array([dt]), *_step_args(problem, traj.control)
     )
     if not filled:
         name = STATUS_NAMES[status]

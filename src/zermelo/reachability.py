@@ -108,8 +108,10 @@ class ShootingConfig:
     def __post_init__(self):
         if self.n_alpha < 8 or self.n_time < 8:
             raise ValueError("shooting grids need at least 8 headings and 8 times")
-        if self.t_max <= 0.0 or self.position_tol <= 0.0:
-            raise ValueError("t_max and position_tol must be positive")
+        for name in ("t_max", "position_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _local_cell(positions: np.ndarray) -> np.ndarray:
@@ -512,8 +514,8 @@ def wavefront(
     (e.g. the abnormal ones) onto the front exactly.
     """
     base = _heading_circle(n_alpha)
-    if not t > 0.0:
-        raise ValueError("wavefront time must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"wavefront time t must be positive and finite, got {t!r}")
     x0, y0 = float(q0[0]), float(q0[1])
     extra = np.asarray(wrap_angle(np.asarray(list(include_headings), dtype=float)))
     alphas = np.sort(np.concatenate((base, np.atleast_1d(extra)))) if extra.size else base
@@ -673,6 +675,8 @@ def cut_locus_estimate(
     ``t_max`` defaults to 1.5x the forward cusp time (the adapted
     neighborhood this estimate is valid in).
     """
+    if t_max is not None and not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     config = config or ShootingConfig()
     radius = problem.radius_of(q0)
     if float(current_norm(problem, radius)) <= 1.0:

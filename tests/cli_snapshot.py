@@ -6,9 +6,10 @@ Usage::
 
 Each command runs as ``python -m zermelo.cli ... --out .`` in its own
 directory under ``OUTDIR``, and its stdout, stderr and exit code are saved
-there next to its output files.  The ``zermelo`` package is the one
-``PYTHONPATH`` points at, so two checkouts compare byte for byte with one
-run each and ``diff -r``::
+there next to its output files.  A command still running after
+``TIMEOUT_S`` seconds is stopped, and ``timeout`` is saved as its exit
+code.  The ``zermelo`` package is the one ``PYTHONPATH`` points at, so two
+checkouts compare byte for byte with one run each and ``diff -r``::
 
     PYTHONPATH=old/src python tests/cli_snapshot.py /tmp/old
     PYTHONPATH=new/src python tests/cli_snapshot.py /tmp/new
@@ -16,7 +17,8 @@ run each and ``diff -r``::
 
 The commands are the seven README historical commands plus vortex and
 powerlaw commands that reach the numeric integrator, the numeric cusp
-search, shooting and the cut-locus estimate.
+search, shooting and the cut-locus estimate, and two that must fail with a
+config error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 
 POWERLAW_13 = '{"family": "powerlaw", "k": 1.0, "a": -3.0, "b": 1.0}'
 POWERLAW_22 = '{"family": "powerlaw", "k": 2.0, "a": -2.0, "b": 1.0}'
+TIMEOUT_S = 60
 
 COMMANDS = [  # (directory name, problem, command and its arguments)
     ("historical-classify", "historical", "classify --state 0,2,0"),
@@ -48,6 +51,10 @@ COMMANDS = [  # (directory name, problem, command and its arguments)
     ("powerlaw13-cusp", POWERLAW_13, "cusp --state 0.5,0,-0.2526802551420788"),
     ("powerlaw13-wavefront", POWERLAW_13, "wavefront --q0 0.5,0 --t 0.3 --n 64"),
     ("powerlaw22-synthesis", POWERLAW_22, "synthesis --q0 1.5,0 --n 32"),
+    # error paths: a non-finite tolerance or time
+    ("historical-value-tol-nan", "historical",
+     "value --q0 0,2 --segment 1.039,1.298:0.879,1.180 --n 200 --tol nan"),
+    ("vortex-wavefront-t-inf", "vortex", "wavefront --q0 0.5,0 --t inf --n 8"),
 ]
 
 
@@ -56,14 +63,19 @@ def snapshot(outdir: Path) -> None:
         work = outdir / f"{i:02d}-{name}"
         work.mkdir(parents=True)
         sub, *args = command.split()
-        done = subprocess.run(
-            [sys.executable, "-m", "zermelo.cli", sub, "--problem", problem, *args, "--out", "."],
-            cwd=work, capture_output=True,
-        )
-        (work / "stdout.txt").write_bytes(done.stdout)
-        (work / "stderr.txt").write_bytes(done.stderr)
-        (work / "exit_code.txt").write_text(f"{done.returncode}\n")
-        print(f"{work.name}: exit {done.returncode}")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "zermelo.cli", sub, "--problem", problem, *args,
+                 "--out", "."],
+                cwd=work, capture_output=True, timeout=TIMEOUT_S,
+            )
+            stdout, stderr, code = done.stdout, done.stderr, done.returncode
+        except subprocess.TimeoutExpired as exc:
+            stdout, stderr, code = exc.stdout or b"", exc.stderr or b"", "timeout"
+        (work / "stdout.txt").write_bytes(stdout)
+        (work / "stderr.txt").write_bytes(stderr)
+        (work / "exit_code.txt").write_text(f"{code}\n")
+        print(f"{work.name}: exit {code}")
 
 
 if __name__ == "__main__":

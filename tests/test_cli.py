@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from zermelo import reachability
 from zermelo.cli import main
 
@@ -178,6 +180,25 @@ def test_synthesis_weak_start_rejected(capsys):
     )
     assert code == 2
     assert "strong" in err
+
+
+@pytest.mark.parametrize(
+    "problem, args, name",
+    [
+        ("historical", ["value", "--q0", "0,2", "--segment", "1.039,1.298:0.879,1.180",
+                        "--n", "8", "--tol", "nan"], "position_tol"),
+        ("vortex", ["wavefront", "--q0", "0.5,0", "--t", "inf", "--n", "8"], "--t"),
+        ("vortex", ["integrate", "--state", "0.5,0,1.1", "--t", "inf"], "--t"),
+        ("vortex", ["synthesis", "--q0", "0.5,0", "--t-max", "inf"], "t_max"),
+        ("historical", ["synthesis", "--q0", "0,2", "--t-max", "inf"], "t_max"),
+    ],
+    ids=["value-tol-nan", "wavefront-t-inf", "integrate-t-inf", "vortex-synthesis-t-max-inf",
+         "historical-synthesis-t-max-inf"],
+)
+def test_non_finite_values_are_config_errors(tmp_path, capsys, problem, args, name):
+    code, _, err = run_cli([*args, "--problem", problem, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert name in err and "finite" in err
 
 
 def test_vortex_descriptor_roundtrip(tmp_path, capsys):

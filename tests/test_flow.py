@@ -324,6 +324,16 @@ def test_endpoint_map_grid_and_paired_calls_agree(problem, q0):
     assert np.max(np.abs(grid[~exited] - paired[~exited])) < 1e-8
 
 
+def test_state_at_rejects_times_outside_the_span():
+    traj = integrate_numeric(make_vortex(1.0), ExtendedState(0.5, 0.0, 1.1), 0.5)
+    for t in (-0.1, 0.6, math.nan):
+        with pytest.raises(ValueError, match="outside trajectory span"):
+            state_at(traj, t)
+
+
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(0.0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            StepControl(tol)

@@ -14,13 +14,10 @@ import numpy as np
 import pytest
 
 from zermelo import _kernels, make_historical, make_powerlaw, make_vortex
-from zermelo.flow import BOUNDARY_PAD, MAX_STEP, MAX_STEPS, StepControl
+from zermelo._kernels import BOUNDARY_PAD, MAX_STEPS
+from zermelo.flow import StepControl
 
 TOL = StepControl().tol
-
-
-def _step_args(problem, max_steps, tol=TOL):
-    return (tol, tol, MAX_STEP, *problem.domain, BOUNDARY_PAD, max_steps)
 
 
 def test_rhs_values():
@@ -34,21 +31,20 @@ def test_rhs_values():
     assert np.allclose((dr, dth, dal), (0.0, 4.5, 3.5))
 
 
+def _head(problem):
+    return problem.code, problem.k, problem.a, problem.b
+
+
 def _trajectory(problem, r0, th0, al0, t_final):
-    out_t = np.empty(MAX_STEPS + 1)
-    out_y = np.empty((MAX_STEPS + 1, 3))
-    n, status = _kernels.rk45_trajectory(
-        problem.code, problem.k, problem.a, problem.b, r0, th0, al0, t_final,
-        TOL, TOL, MAX_STEP, *problem.domain, BOUNDARY_PAD, out_t, out_y,
+    _, status, out_t, out_y = _kernels.rk45_trajectory(
+        *_head(problem), r0, th0, al0, t_final, TOL, *problem.domain
     )
-    return out_t[:n], out_y[:n], status
+    return out_t, out_y, status
 
 
 def _at_times(problem, r0, th0, al0, ts):
-    out = np.full((len(ts), 3), np.nan)
-    filled, status = _kernels.rk45_at_times(
-        problem.code, problem.k, problem.a, problem.b, r0, th0, al0, np.asarray(ts),
-        *_step_args(problem, MAX_STEPS), out,
+    filled, status, out = _kernels.rk45_at_times(
+        *_head(problem), r0, th0, al0, np.asarray(ts), TOL, *problem.domain
     )
     return out, filled, status
 
@@ -82,15 +78,18 @@ def test_at_times_matches_trajectory_endpoint():
     assert np.allclose(out[2], out_y[-1], atol=1e-10)
 
 
-def test_max_steps_status():
-    out_t = np.empty(4)
-    out_y = np.empty((4, 3))
-    n, status = _kernels.rk45_trajectory(
-        0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.9, 50.0,
-        1e-10, 1e-10, 0.25, -math.inf, math.inf, 1e-6, out_t, out_y,
-    )
+def test_max_steps_status(monkeypatch):
+    # every driver halts by one rule: more than MAX_STEPS trial steps
+    monkeypatch.setattr(_kernels, "MAX_STEPS", 3)
+    problem, start = make_historical(), (2.0, 0.0, 0.9)
+    out_t, out_y, status = _trajectory(problem, *start, 50.0)
     assert status == _kernels.STATUS_MAX_STEPS
-    assert n == 4
+    assert out_t.shape[0] == out_y.shape[0] <= _kernels.MAX_STEPS + 1
+    _, _, status = _at_times(problem, *start, [50.0])
+    assert status == _kernels.STATUS_MAX_STEPS
+    ts = np.full((2 * _kernels.TAIL_LANES, 1), 50.0)
+    status, _ = _kernels.rk45_lanes(*_head(problem), *start, ts, TOL, *problem.domain)
+    assert set(status.tolist()) == {_kernels.STATUS_MAX_STEPS}
 
 
 def test_domain_exit_status():
@@ -104,24 +103,20 @@ def test_domain_exit_status():
     assert filled == 0 and np.isnan(out).all()
 
 
-def _one_by_one(problem, r0, th0, alphas, ts, max_steps=MAX_STEPS, tol=TOL):
+def _one_by_one(problem, r0, th0, alphas, ts, tol=TOL):
     """The scalar sampler, one lane at a time: the reference for the lane kernel."""
-    out = np.full(ts.shape + (3,), np.nan)
-    status = [
-        _kernels.rk45_at_times(
-            problem.code, problem.k, problem.a, problem.b, r0, th0, float(alphas[i]), ts[i],
-            *_step_args(problem, max_steps, tol), out[i],
-        )[1]
-        for i in range(ts.shape[0])
-    ]
-    return out, np.array(status)
+    out = np.empty(ts.shape + (3,))
+    status = np.empty(ts.shape[0], dtype=int)
+    for i in range(ts.shape[0]):
+        _, status[i], out[i] = _kernels.rk45_at_times(
+            *_head(problem), r0, th0, float(alphas[i]), ts[i], tol, *problem.domain
+        )
+    return out, status
 
 
-def _all_at_once(problem, r0, th0, alphas, ts, max_steps=MAX_STEPS, tol=TOL):
-    out = np.full(ts.shape + (3,), np.nan)
-    status = _kernels.rk45_lanes(
-        problem.code, problem.k, problem.a, problem.b, r0, th0, np.asarray(alphas, dtype=float),
-        ts, *_step_args(problem, max_steps, tol), out,
+def _all_at_once(problem, r0, th0, alphas, ts, tol=TOL):
+    status, out = _kernels.rk45_lanes(
+        *_head(problem), r0, th0, np.asarray(alphas, dtype=float), ts, tol, *problem.domain
     )
     return out, status
 
@@ -144,7 +139,7 @@ def _edge_times(n):
 _TIMES = np.broadcast_to(np.linspace(0.0, 0.5, 6), (40, 6))
 
 LANE_CASES = {
-    # name: problem, canonical start (r0, th0), headings, times, max_steps, tol
+    # name: problem, canonical start (r0, th0), headings, times, MAX_STEPS, tol
     "vortex-grid": (
         make_vortex(1.0), (0.5, 0.0), _headings(48),
         np.broadcast_to(np.linspace(0.0, 0.5, 24), (48, 24)), MAX_STEPS, TOL,
@@ -183,11 +178,12 @@ EXPECTED_STATUSES = {
 
 
 @pytest.mark.parametrize("case", sorted(LANE_CASES))
-def test_lane_kernel_matches_scalar_sampler(case):
+def test_lane_kernel_matches_scalar_sampler(case, monkeypatch):
     problem, (r0, th0), alphas, ts, max_steps, tol = LANE_CASES[case]
+    monkeypatch.setattr(_kernels, "MAX_STEPS", max_steps)
     assert ts.shape[0] > _kernels.TAIL_LANES  # the numpy loop runs
-    ref, ref_status = _one_by_one(problem, r0, th0, alphas, ts, max_steps, tol)
-    out, status = _all_at_once(problem, r0, th0, alphas, ts, max_steps, tol)
+    ref, ref_status = _one_by_one(problem, r0, th0, alphas, ts, tol)
+    out, status = _all_at_once(problem, r0, th0, alphas, ts, tol)
     assert status.tolist() == ref_status.tolist()
     assert np.array_equal(np.isnan(out), np.isnan(ref))
     finite = ~np.isnan(ref)
@@ -215,12 +211,12 @@ def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
     ])
     h = 10.0 ** rng.uniform(-6.0, log_h_max, n)
     head = (problem.code, problem.k, problem.a, problem.b)
-    y5, err = _kernels._attempt_lanes(*head, y, h, TOL, TOL)
+    y5, err = _kernels._attempt_lanes(*head, y, h, TOL)
     assert (err > 1.0).any() and (err <= 1.0).any()  # both branches of the controller
     for i in range(n):
         r, th, al = y[:, i].tolist()
         k1 = _kernels.rhs(*head, r, al)
-        scalar = _kernels._attempt_step(*head, r, th, al, float(h[i]), TOL, TOL, k1)
+        scalar = _kernels._attempt_step(*head, r, th, al, float(h[i]), TOL, k1)
         assert scalar[:4] == (y5[0, i], y5[1, i], y5[2, i], err[i])
         # FSAL: the last stage is the RHS at the new state, the next step's first
         if math.isfinite(scalar[3]):

@@ -94,6 +94,9 @@ def test_wavefront_validation(historical):
         wavefront(historical, Q0_STRONG, 0.3, 4)
     with pytest.raises(ValueError):
         wavefront(historical, Q0_STRONG, -0.1, 32)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="time t"):
+            wavefront(historical, Q0_STRONG, t, 32)
 
 
 def test_wavefront_counts_and_order(historical):

@@ -6,15 +6,14 @@ name in the quick test suite, without a benchmark run.
 """
 
 import inspect
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zermelo import ExtendedState, _kernels, integrate_numeric, make_vortex
-from zermelo.flow import BOUNDARY_PAD, MAX_STEP, MAX_STEPS, STATUS_NAMES
+from zermelo import ExtendedState, _kernels, integrate_numeric, make_vortex, state_at
+from zermelo.flow import STATUS_NAMES
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -62,6 +61,21 @@ def test_step_counter_reads_the_error_of_every_trial_step(monkeypatch):
     assert 0 < tracer.counts["kernels.finite_trial_steps"] <= len(calls)
 
 
+def test_tracer_reads_row_counts_and_targets():
+    # the tracer counts a trajectory's steps as result[0] - 1 and the
+    # targets of a sampler as len(args[7])
+    problem = make_vortex(1.0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traj = integrate_numeric(problem, ExtendedState(0.5, 0.0, 1.1), 0.5)
+        state_at(traj, 0.5 * (traj.t[1] + traj.t[2]))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["kernels.rk45_trajectory.steps"] == len(traj) - 1
+    assert tracer.counts["kernels.rk45_at_times.targets"] == 1
+
+
 def test_at_times_argument_7_is_ts():
     # the tracer counts targets as len(args[7])
     assert list(inspect.signature(_kernels.rk45_at_times).parameters)[7] == "ts"
@@ -81,13 +95,8 @@ def test_kernel_statuses_are_python_ints(r0, tol, expected):
     # HALT_NAMES; a 0-d numpy array there would be unhashable
     problem = make_vortex(1.0)
     head = (problem.code, problem.k, problem.a, problem.b, r0, 0.0, 1.1)
-    step = (tol, tol, MAX_STEP, *problem.domain, BOUNDARY_PAD)
-    _, at_times = _kernels.rk45_at_times(
-        *head, np.array([0.0, 0.3]), *step, MAX_STEPS, np.full((2, 3), math.nan)
-    )
-    _, trajectory = _kernels.rk45_trajectory(
-        *head, 0.3, *step, np.empty(MAX_STEPS + 1), np.empty((MAX_STEPS + 1, 3))
-    )
+    _, at_times, _ = _kernels.rk45_at_times(*head, np.array([0.0, 0.3]), tol, *problem.domain)
+    _, trajectory, _, _ = _kernels.rk45_trajectory(*head, 0.3, tol, *problem.domain)
     for status in (at_times, trajectory):
         assert type(status) is int and status == expected
         assert status in STATUS_NAMES
