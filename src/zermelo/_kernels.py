@@ -13,14 +13,26 @@ more at its start.  ``rk45_trajectory`` can also stop at the radial turn,
 the first accepted step whose ``cos(alpha)`` has the opposite sign to the
 start's.  The lane kernel ``rk45_lanes`` samples N lanes at
 once: one numpy loop advances every running lane by one trial step.  The
-running lanes' (t, r, theta, alpha, h) are the columns of one (5, N) array,
-beside their indices and next targets.  Each pass records the status of
-every lane that stops (all targets filled, a descending target, a step
-size below the floor, ``MAX_STEPS`` passed, a domain exit), and one
-statement drops them.  Both steppers name a floor halt by ``_floor_halt``.
+running lanes' (t, r, theta, alpha, h) and the RHS at their state are the
+columns of one (8, N) array, beside their indices and targets: the lane
+step is FSAL too, so a pass makes 6 RHS evaluations.  Each pass records
+the status of every lane that stops (all targets filled, a descending
+target, a step size below the floor, ``MAX_STEPS`` passed, a domain exit),
+and one statement drops them.  Both steppers name a floor halt by ``_floor_halt``.
 When fewer than ``TAIL_LANES`` lanes remain, each one finishes in the
 scalar stepper, resumed from its column.  The right-hand side reads the
 family profiles from ``problems.profile_table``.
+
+A row of sample times does not force a step end at each.  Both samplers
+decide every trial step, a rejected one's retry included, by one landing
+rule: a step that would hold two or more of the row's remaining times is
+taken whole, or lands on the row's last time if it would hold that; a step
+that would hold one time lands on it.  The times strictly inside an
+accepted step are read from the Dormand-Prince continuous extension
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), which needs the step's
+stages and no further RHS evaluation; the scalar sampler recomputes stages
+2 to 6 for such a step only.  A row of one time never fills, so it takes
+the steps it takes alone, and the times of a step that halts stay nan.
 
 Each driver takes one tolerance ``tol``, relative and absolute alike, and
 the domain ``(dom_lo, dom_hi)``, and returns the samples it allocates.  The
@@ -79,6 +91,16 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 
+# continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
+)
+
 _H_FLOOR = 1e-14
 
 # fixed limits of the adaptive 5(4) stepper: the largest step, the trial
@@ -87,6 +109,9 @@ _H_FLOOR = 1e-14
 MAX_STEP = 0.25
 MAX_STEPS = 200_000
 BOUNDARY_PAD = 1e-6
+
+# targets a lane reads per round when it fills the inside of a step
+FILL_BLOCK = 16
 
 # a numpy step of the lane kernel costs about as much as 16 scalar steps
 # (about 200 us against 13 us on a 2-vCPU x86 VM), so below this many
@@ -185,30 +210,37 @@ def _new_h(h_try, err):
     return min(h_try * factor, MAX_STEP)
 
 
-def _advance(code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1):
+def _advance(
+    code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1,
+    second=math.inf, last=math.inf,
+):
     """Trial steps from time ``t`` toward ``target`` until one is accepted or the lane halts.
 
-    ``k1`` is the RHS at ``(r, al)``.  Returns ``(t, r, th, al, h, steps,
-    status, k1)``: ``steps`` counts the lane's trial steps against
+    ``k1`` is the RHS at ``(r, al)``.  A row's next targets after ``target``
+    are ``second`` and ``last`` (its final one), inf where there are none.
+    Each trial step of length ``h`` lands on ``target``, unless it would
+    hold ``second`` as well: then it is taken whole, or lands on ``last`` if
+    it would hold that.  Returns ``(t, r, th, al, h, steps, status, k1,
+    h_try)``: ``steps`` counts the lane's trial steps against
     ``MAX_STEPS``, the status is ``STATUS_DOMAIN_EXIT`` if the accepted
-    radius is within ``BOUNDARY_PAD`` of the domain boundary, and ``k1`` is
-    the RHS at the returned state.  A halt before any step is accepted
-    returns the state it was given.
+    radius is within ``BOUNDARY_PAD`` of the domain boundary, ``k1`` is the
+    RHS at the returned state and ``h_try`` the accepted step's length.  A
+    halt before any step is accepted returns the state it was given.
     """
     while True:
         steps += 1
         if steps > MAX_STEPS:
-            return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1
+            return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1, 0.0
         if h < _H_FLOOR * max(1.0, abs(t)):
-            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1
-        h_try = min(h, target - t)
+            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1, 0.0
+        h_try = min(h, (last if second - t <= h else target) - t)
         r5, th5, al5, err, k7 = _attempt_step(code, k, a, b, r, th, al, h_try, tol, k1)
         h = _new_h(h_try, err)
         if err <= 1.0:
             break
     if r5 <= dom_lo + BOUNDARY_PAD or r5 >= dom_hi - BOUNDARY_PAD:
-        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7
-    return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7
+        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7, h_try
+    return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7, h_try
 
 
 def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, stop_at_turn=False):
@@ -230,7 +262,7 @@ def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, s
     steps = 0
     status = STATUS_OK
     while t < t_final:
-        t_new, r, th, al, h, steps, status, k1 = _advance(
+        t_new, r, th, al, h, steps, status, k1, _ = _advance(
             code, k, a, b, t, r, th, al, h, steps, t_final, tol, dom_lo, dom_hi, k1
         )
         if t_new > t:  # a step was accepted; a halt leaves t where it was
@@ -245,10 +277,12 @@ def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, s
 
 
 def rk45_at_times(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
-    """Integrate hitting each time of the ascending array ``ts`` exactly.
+    """Integrate sampling the state at each time of the ascending array ``ts``.
 
     Returns ``(n_filled, status, y)``: ``y`` (len(ts), 3) holds the state at
-    each time, nan in the rows past a premature halt.
+    each time, nan in the rows past a premature halt.  A step lands on each
+    time it alone would hold and on the last time; the times inside a step
+    that would hold two or more are read from the continuous extension.
     """
     y = np.full((ts.shape[0], 3), np.nan)
     n_filled, status = _resume_at_times(
@@ -261,21 +295,91 @@ def _resume_at_times(code, k, a, b, t, r, th, al, h, steps, first, ts, tol, dom_
     """:func:`rk45_at_times` resumed at time ``t`` with step ``h``, ``steps``
     trial steps taken and the rows before ``first`` already filled; writes
     the rows of ``out_y`` and returns ``(n_filled, status)``."""
+    ts = ts.tolist()  # Python floats: a numpy scalar's ``**`` is not the C library's
+    last = len(ts) - 1
     k1 = rhs(code, k, a, b, r, al)
-    for i in range(first, ts.shape[0]):
+    i = first
+    while i <= last:
         target = ts[i]
-        if target < t:
-            return i, STATUS_STEP_COLLAPSE
-        while t < target:
-            t, r, th, al, h, steps, status, k1 = _advance(
-                code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1
-            )
-            if status != STATUS_OK:
-                return i, status
-        out_y[i, 0] = r
-        out_y[i, 1] = th
-        out_y[i, 2] = al
-    return ts.shape[0], STATUS_OK
+        if not t < target:  # reached; a descending target halts the row
+            if target < t:
+                return i, STATUS_STEP_COLLAPSE
+            out_y[i] = r, th, al
+            i += 1
+            continue
+        second = ts[i + 1] if i < last else math.inf
+        t0, y0, k1_0 = t, (r, th, al), k1
+        t, r, th, al, h, steps, status, k1, h_try = _advance(
+            code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1, second, ts[last]
+        )
+        if status != STATUS_OK:
+            return i, status
+        if i < last and target < t:  # targets inside the step: the continuous extension
+            _, k3, k4, k5, k6 = _stages(code, k, a, b, y0[0], y0[2], h_try, k1_0)
+            y5 = r, th, al
+            terms = [
+                _dense_terms(y0[c], y5[c], h_try, k1_0[c], k3[c], k4[c], k5[c], k6[c], k1[c])
+                for c in range(3)
+            ]
+            prev = t0
+            while i < last and prev <= ts[i] < t:
+                theta = (ts[i] - t0) / h_try
+                out_y[i] = [_dense(c0, c, theta) for c0, c in zip(y0, terms)]
+                prev = ts[i]
+                i += 1
+    return len(ts), STATUS_OK
+
+
+def _stages(code, k, a, b, r, al, h, k1):
+    """Stages 2 to 6 of :func:`_attempt_step` from ``(r, al)``, by the same
+    operations, so a step's interior can be sampled after it was accepted."""
+    k1r, _, k1a = k1
+    k2 = rhs(code, k, a, b, r + h * _A21 * k1r, al + h * _A21 * k1a)
+    k3 = rhs(
+        code, k, a, b,
+        r + h * (_A31 * k1r + _A32 * k2[0]),
+        al + h * (_A31 * k1a + _A32 * k2[2]),
+    )
+    k4 = rhs(
+        code, k, a, b,
+        r + h * (_A41 * k1r + _A42 * k2[0] + _A43 * k3[0]),
+        al + h * (_A41 * k1a + _A42 * k2[2] + _A43 * k3[2]),
+    )
+    k5 = rhs(
+        code, k, a, b,
+        r + h * (_A51 * k1r + _A52 * k2[0] + _A53 * k3[0] + _A54 * k4[0]),
+        al + h * (_A51 * k1a + _A52 * k2[2] + _A53 * k3[2] + _A54 * k4[2]),
+    )
+    k6 = rhs(
+        code, k, a, b,
+        r + h * (_A61 * k1r + _A62 * k2[0] + _A63 * k3[0] + _A64 * k4[0] + _A65 * k5[0]),
+        al + h * (_A61 * k1a + _A62 * k2[2] + _A63 * k3[2] + _A64 * k4[2] + _A65 * k5[2]),
+    )
+    return k2, k3, k4, k5, k6
+
+
+def _dense_terms(y0, y5, h, k1, k3, k4, k5, k6, k7):
+    """Coefficients of the Dormand-Prince continuous extension of one step.
+
+    ``y0`` and ``y5`` are the step's start and 5th-order end, ``k1`` ...
+    ``k7`` its stages (floats or arrays alike).  Hairer, Norsett & Wanner,
+    *Solving ODEs I*, section II.6, in the form of their code DOPRI5.
+    """
+    ydiff = y5 - y0
+    bspl = h * k1 - ydiff
+    return (
+        ydiff,
+        bspl,
+        ydiff - h * k7 - bspl,
+        h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7),
+    )
+
+
+def _dense(y0, terms, theta):
+    """The continuous extension at the fraction ``theta`` of the step."""
+    c1, c2, c3, c4 = terms
+    theta1 = 1.0 - theta
+    return y0 + theta * (c1 + theta1 * (c2 + theta * (c3 + theta1 * c4)))
 
 
 # -- the lane kernel: numpy only, the same arithmetic as the scalar step ------
@@ -290,15 +394,16 @@ def _lane_rhs(code, k, a, b, y, out):
     np.subtract(mup * m * sa * sa, mp * sa / m, out=out[2])
 
 
-def _attempt_lanes(code, k, a, b, y, h, tol):
+def _attempt_lanes(code, k, a, b, y, h, tol, k1):
     """:func:`_attempt_step` on every lane of ``y`` (3, N) with steps ``h`` (N,).
 
-    Returns the 5th-order states (3, N) and the error norms (N,), inf where
-    the trial state is not finite.  Each entry is computed by the same
-    operations, in the same order, as in :func:`_attempt_step`.
+    ``k1`` (3, N) is the RHS at ``y``.  Returns the 5th-order states (3, N),
+    the error norms (N,), inf where the trial state is not finite, and the
+    stages 2 to 7 (6, 3, N); the last is the RHS at the 5th-order state.
+    Each entry is computed by the same operations, in the same order, as in
+    :func:`_attempt_step`.
     """
-    k1, k2, k3, k4, k5, k6, k7 = np.empty((7,) + y.shape)
-    _lane_rhs(code, k, a, b, y, k1)
+    k2, k3, k4, k5, k6, k7 = stages = np.empty((6,) + y.shape)
     _lane_rhs(code, k, a, b, y + h * _A21 * k1, k2)
     _lane_rhs(code, k, a, b, y + h * (_A31 * k1 + _A32 * k2), k3)
     _lane_rhs(code, k, a, b, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), k4)
@@ -314,17 +419,46 @@ def _attempt_lanes(code, k, a, b, y, h, tol):
     q = np.float_power(e / (tol + tol * np.maximum(np.abs(y), np.abs(y5))), 2.0)
     err = np.sqrt((q[0] + q[1] + q[2]) / 3.0)
     err[~(np.isfinite(y5).all(axis=0) & np.isfinite(err))] = math.inf
-    return y5, err
+    return y5, err, stages
+
+
+def _fill_inside(ts, rows, nxt, t0, h, t_new, y0, terms, out_y):
+    """Fill the targets inside the accepted steps of the lanes ``rows`` from
+    their continuous extensions; returns each lane's next target index.
+
+    A lane fills its targets from ``nxt`` on while they ascend from ``t0``,
+    lie before ``t_new`` and are not its row's last, as
+    :func:`_resume_at_times` does.  Each round reads the next ``FILL_BLOCK``
+    targets of the lanes that filled a whole block, so the work arrays are
+    (lanes x ``FILL_BLOCK``), never (lanes x targets).
+    """
+    last = ts.shape[1] - 1
+    go, prev = np.arange(rows.shape[0]), t0[:, None]  # lanes that may have more inside
+    while go.shape[0]:
+        cols = nxt[go, None] + np.arange(FILL_BLOCK)
+        tt = ts[rows[go, None], np.minimum(cols, last)]
+        ok = (cols < last) & (tt < t_new[go, None])
+        ok &= np.concatenate((prev, tt[:, :-1]), axis=1) <= tt
+        take = np.logical_and.accumulate(ok, axis=1)
+        theta = (tt - t0[go, None]) / h[go, None]
+        y = _dense(y0[:, go, None], [c[:, go, None] for c in terms], theta)
+        i, j = np.nonzero(take)
+        out_y[rows[go[i]], cols[i, j]] = y[:, i, j].T
+        n = np.count_nonzero(take, axis=1)
+        nxt[go] += n
+        full = n == FILL_BLOCK
+        go, prev = go[full], tt[full, -1:]
+    return nxt
 
 
 def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     """:func:`rk45_at_times` on N lanes at once.
 
     Lane ``i`` starts at ``(r0, th0, al0)`` (each a scalar or an (N,) array)
-    and hits the ascending times ``ts[i]`` exactly; ``ts`` is (N, M).  Each
-    lane takes the steps, and fills the rows, that :func:`rk45_at_times`
-    gives it alone, bit for bit.  Returns ``(status, y)``: the status of
-    each lane (N,) and the states (N, M, 3), nan past a lane's halt.
+    and samples the ascending times ``ts[i]``; ``ts`` is (N, M).  Each lane
+    takes the steps, and fills the rows, that :func:`rk45_at_times` gives it
+    alone, bit for bit.  Returns ``(status, y)``: the status of each lane
+    (N,) and the states (N, M, 3), nan past a lane's halt.
     """
     n, n_t = ts.shape
     status = np.full(n, STATUS_OK)
@@ -332,13 +466,15 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     if n_t == 0:
         return status, out_y
     # the lanes still running: their indices, their states (t, r, theta,
-    # alpha, h) and their next targets; every running lane has taken the
-    # same number of trial steps, one per pass of the loop
+    # alpha, h, and the RHS at the state, the next step's first stage), their
+    # next and last targets; every running lane has taken the same number of
+    # trial steps, one per pass of the loop
     lane = np.arange(n)
-    s = np.empty((5, n))
+    s = np.empty((8, n))
     s[0], s[1], s[2], s[3], s[4] = 0.0, r0, th0, al0, min(MAX_STEP, 1e-3)
+    _lane_rhs(code, k, a, b, s[1:4], s[5:8])
     nxt = np.zeros(n, dtype=np.int64)
-    target = ts[:, 0]
+    target, last = ts[:, 0].copy(), ts[:, -1]
     stop = np.full(n, -1)  # the status each lane stops with in this pass; -1 runs on
     steps = 0
     # count_nonzero tests a mask in a third of the time of any() or all()
@@ -358,7 +494,8 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
             # the one retirement: record the statuses of the lanes that stop, drop them
             if np.count_nonzero(run) < lane.shape[0]:
                 status[lane[~run]] = stop[~run]
-                lane, s, nxt, target, stop = lane[run], s[:, run], nxt[run], target[run], stop[run]
+                lane, s, nxt, stop = lane[run], s[:, run], nxt[run], stop[run]
+                target, last = target[run], last[run]
             if lane.shape[0] < TAIL_LANES:
                 break
 
@@ -366,26 +503,40 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
             if steps > MAX_STEPS:
                 stop[:] = STATUS_MAX_STEPS
                 continue
-            t, y, h = s[0], s[1:4], s[4]
-            h_try = np.minimum(h, target - t)
-            y5, err = _attempt_lanes(code, k, a, b, y, h_try, tol)
+            t, y, h, k1 = s[0], s[1:4], s[4], s[5:8]
+            if n_t == 1:
+                h_try = np.minimum(h, target - t)
+            else:  # the landing rule of _advance
+                second = np.where(nxt < n_t - 1, ts[lane, np.minimum(nxt + 1, n_t - 1)], math.inf)
+                h_try = np.minimum(h, np.where(second - t <= h, last, target) - t)
+            y5, err, stages = _attempt_lanes(code, k, a, b, y, h_try, tol, k1)
             ok = ~(err > 1.0)
             floor = h < _H_FLOOR * np.maximum(1.0, np.abs(t))
             if np.count_nonzero(floor):  # these lanes halt before their step, where they are
                 ok[floor] = False
                 stop[floor] = _floor_halt(y[0, floor], dom_lo, dom_hi)
-            np.copyto(t, t + h_try, where=ok)
+            t_new = t + h_try
+            out_of_domain = (y5[0] <= dom_lo + BOUNDARY_PAD) | (y5[0] >= dom_hi - BOUNDARY_PAD)
+            if n_t > 1:  # targets inside an accepted step that does not halt
+                f = np.nonzero(ok & ~out_of_domain & (nxt < n_t - 1) & (target < t_new))[0]
+                if f.shape[0]:
+                    terms = _dense_terms(y[:, f], y5[:, f], h_try[f], k1[:, f], *stages[1:, :, f])
+                    nxt[f] = _fill_inside(
+                        ts, lane[f], nxt[f], t[f], h_try[f], t_new[f], y[:, f], terms, out_y
+                    )
+                    target[f] = ts[lane[f], nxt[f]]
+            np.copyto(t, t_new, where=ok)
             np.copyto(y, y5, where=ok)
+            np.copyto(k1, stages[-1], where=ok)
             # the step size of _new_h: at err = 0 the power is inf and clips to 5
             factor = np.minimum(np.maximum(0.9 * np.float_power(err, -0.2), 0.2), 5.0)
             factor[err == math.inf] = 0.5
             np.minimum(h_try * factor, MAX_STEP, out=h)
-            out_of_domain = (y[0] <= dom_lo + BOUNDARY_PAD) | (y[0] >= dom_hi - BOUNDARY_PAD)
             stop[ok & out_of_domain] = STATUS_DOMAIN_EXIT
 
     for j, i in enumerate(lane.tolist()):  # the last few lanes, each in the scalar stepper
         status[i] = _resume_at_times(
-            code, k, a, b, *s[:, j].tolist(), steps, int(nxt[j]), ts[i],
+            code, k, a, b, *s[:5, j].tolist(), steps, int(nxt[j]), ts[i],
             tol, dom_lo, dom_hi, out_y[i],
         )[1]
     return status, out_y

@@ -39,7 +39,14 @@ rather than a scan of every node.  Tiles are local in index space, so lanes
 whose chart angle winds far from the rest of a polar grid widen only their
 own tiles.  Every sphere, scan and cut-locus estimate builds one grid and
 polishes every candidate of every target in one Newton batch; a cut-locus
-estimate first collects the crossings of all its (untagged) fronts.
+estimate first collects the crossings of all its (untagged) fronts.  The
+grid samples the endpoint map at ``COARSE_CONTROL``: it only seeds the
+first stage, which iterates on that map.  Spheres and cut-locus estimates
+know a time by which each of their targets is reached, the front time:
+a candidate node more than ``CAPTURE_FACTOR`` grid time steps past it is
+not polished, since an earlier arrival has a candidate within that many
+local cells.  A lane's result does not depend on its batch, so the kept
+lanes give the bits they give unbounded, and ``t_min`` can only rise.
 """
 
 from __future__ import annotations
@@ -273,12 +280,16 @@ def _heading_circle(n: int) -> np.ndarray:
 def build_shooting_grid(
     problem: ProblemDefinition, q0, config: ShootingConfig | None = None
 ) -> ShootingGrid:
-    """Dense endpoint grid over evenly spaced headings and times up to t_max."""
+    """Dense endpoint grid over evenly spaced headings and times up to t_max.
+
+    The grid only seeds the first Newton stage, so it samples the endpoint
+    map that stage iterates on, integrated at ``COARSE_CONTROL``.
+    """
     config = config or ShootingConfig()
     alphas = _heading_circle(config.n_alpha)
     times = np.linspace(0.0, config.t_max, config.n_time)
     q0 = (float(q0[0]), float(q0[1]))
-    positions = endpoints(problem, q0, alphas, times[None, :])
+    positions = endpoints(problem, q0, alphas, times[None, :], COARSE_CONTROL)
     return ShootingGrid(problem, q0, config, alphas, times, positions)
 
 
@@ -420,12 +431,19 @@ def _newton_polish(
     return al, tt, np.hypot(f[:, 0], f[:, 1]), iterations
 
 
-def _value_samples(grid: ShootingGrid, targets) -> list[ValueSample]:
-    """:func:`value_function` at every target, with one Newton batch for all of them."""
+def _value_samples(grid: ShootingGrid, targets, reached_at=None) -> list[ValueSample]:
+    """:func:`value_function` at every target, with one Newton batch for all of them.
+
+    ``reached_at`` holds, per target, a time at which the target is known
+    to be reached, so its value is no later.  A candidate node more than
+    ``CAPTURE_FACTOR`` grid time steps past that time is not polished: an
+    arrival by then has a candidate within that many local cells.
+    """
     problem, q0, config = grid.problem, grid.q0, grid.config
+    slack = CAPTURE_FACTOR * grid.times[1]
     samples: list[ValueSample | None] = []
     shots = []  # (sample slot, target, candidate nodes) of the targets that need Newton
-    for target in targets:
+    for n, target in enumerate(targets):
         tgt = (float(target[0]), float(target[1]))
         problem.check_domain(problem.radius_of(tgt))
         gap = math.hypot(tgt[0] - q0[0], tgt[1] - q0[1])
@@ -433,6 +451,8 @@ def _value_samples(grid: ShootingGrid, targets) -> list[ValueSample]:
             samples.append(ValueSample(tgt, 0.0, None, "interior", 0, gap))
             continue
         idx = _candidate_nodes(grid, tgt)
+        if reached_at is not None:
+            idx = idx[grid.times[idx[:, 1]] <= reached_at[n] + slack]
         if idx.shape[0] == 0:
             samples.append(ValueSample(tgt, UNREACHABLE, None, "unreachable"))
             continue
@@ -566,7 +586,10 @@ def sphere_and_ball(
     heads = abnormal_headings(problem, problem.radius_of(q0))
     front = wavefront(problem, q0, t, n_alpha, include_headings=heads)
     t_min = np.full(front.alpha0.shape[0], UNREACHABLE)
-    samples = _value_samples(build_shooting_grid(problem, q0, config), front.positions[front.ok])
+    points = front.positions[front.ok]
+    samples = _value_samples(
+        build_shooting_grid(problem, q0, config), points, reached_at=np.full(points.shape[0], t)
+    )
     t_min[front.ok] = [sample.t_min for sample in samples]
     is_sphere = np.abs(t_min - t) <= SPHERE_TOL * (1.0 + t)
     starts = [ExtendedState(q0[0], q0[1], h) for h in heads]
@@ -633,7 +656,8 @@ def discontinuity_scan(
 
     jumps: list[JumpReport] = []
     if t_vals.shape[0] >= 2:
-        diffs = np.abs(np.diff(t_vals))
+        with np.errstate(invalid="ignore"):  # inf - inf between two unreachable samples
+            diffs = np.abs(np.diff(t_vals))
         finite = np.isfinite(diffs)
         med = float(np.median(diffs[finite])) if np.any(finite) else 0.0
         both_inf = ~np.isfinite(t_vals[:-1]) & ~np.isfinite(t_vals[1:])
@@ -705,7 +729,9 @@ def cut_locus_estimate(
         pts = np.vstack((front, front[:1]))
         crossings += [(float(t_k), *hit) for hit in polyline_self_intersections(pts, par)]
     samples = _value_samples(
-        build_shooting_grid(problem, q0, config), [pos for *_, pos in crossings]
+        build_shooting_grid(problem, q0, config),
+        [pos for *_, pos in crossings],
+        reached_at=[t_k for t_k, *_ in crossings],
     )
     separating = [
         SeparatingPoint(

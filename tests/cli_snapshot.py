@@ -17,8 +17,8 @@ checkouts compare byte for byte with one run each and ``diff -r``::
 
 The commands are the seven README historical commands plus vortex and
 powerlaw commands that reach the numeric integrator, the numeric cusp
-search, shooting and the cut-locus estimate, and two that must fail with a
-config error.
+search, shooting, value scans and the cut-locus estimate, and two that
+must fail with a config error.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ COMMANDS = [  # (directory name, problem, command and its arguments)
     ("powerlaw13-cusp", POWERLAW_13, "cusp --state 0.5,0,-0.2526802551420788"),
     ("powerlaw13-wavefront", POWERLAW_13, "wavefront --q0 0.5,0 --t 0.3 --n 64"),
     ("powerlaw22-synthesis", POWERLAW_22, "synthesis --q0 1.5,0 --n 32"),
+    # value scans over shooting grids with dense rows: no front time bounds them
+    ("vortex-value", "vortex", "value --q0 0.5,0 --segment 0.6,0.1:0.55,0.3 --n 40 --t-max 1"),
+    ("powerlaw13-value", POWERLAW_13,
+     "value --q0 0.5,0 --segment 0.55,0.1:0.6,0.3 --n 40 --t-max 1"),
     # error paths: a non-finite tolerance or time
     ("historical-value-tol-nan", "historical",
      "value --q0 0,2 --segment 1.039,1.298:0.879,1.180 --n 200 --tol nan"),

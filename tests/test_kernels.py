@@ -6,6 +6,8 @@ The lane kernel must give every lane what the scalar sampler gives it
 alone: the same statuses and halts, the same nan rows, and the same
 numbers.  Its numpy step and the scalar step must agree bit for bit,
 because where a lane passes from one to the other depends on its batch.
+Rows of several times read the times inside a step from the continuous
+extension, which must stay close to a tight-tolerance reference.
 """
 
 import math
@@ -16,8 +18,10 @@ import pytest
 from zermelo import _kernels, make_historical, make_powerlaw, make_vortex
 from zermelo._kernels import BOUNDARY_PAD, MAX_STEPS
 from zermelo.flow import StepControl
+from zermelo.reachability import COARSE_CONTROL
 
 TOL = StepControl().tol
+COARSE = COARSE_CONTROL.tol
 
 
 def test_rhs_values():
@@ -157,6 +161,16 @@ LANE_CASES = {
         np.broadcast_to(np.linspace(0.0, 1.0, 12), (32, 12)), MAX_STEPS, TOL,
     ),
     "edge-times": (make_vortex(1.0), (0.5, 0.0), _headings(40), _edge_times(40), MAX_STEPS, TOL),
+    # shooting-grid rows: 160 shared times at the coarse control, so most
+    # steps hold several times and fill them from the continuous extension
+    "vortex-grid-coarse": (
+        make_vortex(1.0), (0.5, 0.0), _headings(48),
+        np.broadcast_to(np.linspace(0.0, 0.5, 160), (48, 160)), MAX_STEPS, COARSE,
+    ),
+    "powerlaw-grid-coarse": (
+        make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0), _headings(48),
+        np.broadcast_to(np.linspace(0.0, 0.6, 160), (48, 160)), MAX_STEPS, COARSE,
+    ),
     # reaches its step limit in the scalar stepper, after the numpy loop
     "max-steps": (make_vortex(1.0), (0.5, 0.0), _headings(40), _edge_times(40), 40, TOL),
     # every lane reaches its step limit in the numpy loop
@@ -169,6 +183,7 @@ LANE_CASES = {
 
 EXPECTED_STATUSES = {
     "powerlaw": {_kernels.STATUS_DOMAIN_EXIT, _kernels.STATUS_OK},
+    "powerlaw-grid-coarse": {_kernels.STATUS_DOMAIN_EXIT, _kernels.STATUS_OK},
     "edge-times": {_kernels.STATUS_STEP_COLLAPSE, _kernels.STATUS_OK},
     "max-steps": {_kernels.STATUS_MAX_STEPS, _kernels.STATUS_OK},
     "max-steps-in-loop": {_kernels.STATUS_MAX_STEPS},
@@ -191,6 +206,8 @@ def test_lane_kernel_matches_scalar_sampler(case, monkeypatch):
     assert np.max(np.abs(out[finite] - ref[finite])) <= 1e-9
     if case in EXPECTED_STATUSES:
         assert EXPECTED_STATUSES[case] <= set(status.tolist())
+    # bit for bit, the rows filled from the continuous extension included
+    assert np.array_equal(out, ref, equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -211,7 +228,9 @@ def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
     ])
     h = 10.0 ** rng.uniform(-6.0, log_h_max, n)
     head = (problem.code, problem.k, problem.a, problem.b)
-    y5, err = _kernels._attempt_lanes(*head, y, h, TOL)
+    k1 = np.empty_like(y)
+    _kernels._lane_rhs(*head, y, k1)
+    y5, err, stages = _kernels._attempt_lanes(*head, y, h, TOL, k1)
     assert (err > 1.0).any() and (err <= 1.0).any()  # both branches of the controller
     for i in range(n):
         r, th, al = y[:, i].tolist()
@@ -221,6 +240,7 @@ def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
         # FSAL: the last stage is the RHS at the new state, the next step's first
         if math.isfinite(scalar[3]):
             assert scalar[4] == _kernels.rhs(*head, scalar[0], scalar[2])
+            assert scalar[4] == tuple(stages[-1, :, i])
 
 
 @pytest.mark.parametrize("sampler", ["trajectory", "at-times"])
@@ -273,3 +293,81 @@ def test_lane_row_does_not_depend_on_its_batch(n_batch):
     assert _kernels.STATUS_STEP_COLLAPSE in status.tolist()
     assert status[where] == alone_status[0] == _kernels.STATUS_OK
     assert np.array_equal(out[where], alone[0])
+
+
+def test_targets_inside_steps_do_not_move_the_steps():
+    # two targets inside every step the single-target row [T] takes: each of
+    # its trial steps holds both, so the row takes those steps whole and lands
+    # on T with the same bits as [T]
+    problem, (r0, th0), t_end = make_vortex(1.0), (0.5, 0.0), 0.5
+    alphas = _headings(2 * _kernels.TAIL_LANES)
+    rows = []
+    for al in alphas:
+        _, status, t, _ = _kernels.rk45_trajectory(
+            *_head(problem), r0, th0, float(al), t_end, COARSE, *problem.domain
+        )
+        assert status == _kernels.STATUS_OK
+        rows.append((t[:-1, None] + np.array([0.25, 0.5]) * np.diff(t)[:, None]).ravel())
+    width = max(row.shape[0] for row in rows) + 1
+    ts = np.array([np.pad(row, (0, width - row.shape[0]), constant_values=t_end) for row in rows])
+    dense, status = _all_at_once(problem, r0, th0, alphas, ts, COARSE)
+    single, _ = _all_at_once(problem, r0, th0, alphas, np.full((alphas.shape[0], 1), t_end), COARSE)
+    assert set(status.tolist()) == {_kernels.STATUS_OK}
+    assert np.array_equal(dense[:, -1], single[:, 0])
+    for i in range(4):  # the scalar sampler alike
+        _, _, alone = _kernels.rk45_at_times(
+            *_head(problem), r0, th0, float(alphas[i]), ts[i], COARSE, *problem.domain
+        )
+        assert np.array_equal(alone[-1], single[i, 0])
+
+
+def test_lane_step_evaluates_the_rhs_six_times(monkeypatch):
+    # the lane step is first same as last: one RHS call per lane kernel at the
+    # start, then 6 per pass; the scalar stepper finishes the tail
+    calls = {"rhs": 0, "pass": 0}
+    lane_rhs, attempt = _kernels._lane_rhs, _kernels._attempt_lanes
+
+    def counted_rhs(*args):
+        calls["rhs"] += 1
+        return lane_rhs(*args)
+
+    def counted_attempt(*args):
+        calls["pass"] += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(_kernels, "_lane_rhs", counted_rhs)
+    monkeypatch.setattr(_kernels, "_attempt_lanes", counted_attempt)
+    problem, (r0, th0), alphas, ts, _, tol = LANE_CASES["vortex-grid-coarse"]
+    _all_at_once(problem, r0, th0, alphas, ts, tol)
+    assert calls["pass"] > 10
+    assert calls["rhs"] == 1 + 6 * calls["pass"]
+
+
+# dense rows against a 1e-13 reference, in units of tol * (1 + |y|), away
+# from r = 0 where the vortex and powerlaw profiles blow up: the measured
+# worst was 53 (powerlaw (2, -2, 1) at tol 1e-10); one sample per step
+# (each time a row of its own) gave at most 9.2
+DENSE_ERROR_BOUND = 60.0
+
+
+@pytest.mark.parametrize("tol", [COARSE, TOL])
+@pytest.mark.parametrize(
+    "problem, start, t_end",
+    [
+        (make_historical(), (2.0, 0.0), 1.0),
+        (make_vortex(1.0), (0.5, 0.0), 0.5),
+        (make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0), 0.6),
+        (make_powerlaw(2.0, -2.0, 1.0), (1.5, 0.0), 1.0),
+    ],
+    ids=["historical", "vortex", "powerlaw-3", "powerlaw-2"],
+)
+def test_dense_rows_agree_with_a_tight_reference(problem, start, t_end, tol):
+    alphas = _headings(48)
+    ts = np.broadcast_to(np.linspace(0.0, t_end, 160), (48, 160))
+    out, _ = _all_at_once(problem, *start, alphas, ts, tol)
+    ref, _ = _all_at_once(problem, *start, alphas, ts, 1e-13)
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    away = ref[..., 0] > 0.2 if problem.family != "historical" else np.isfinite(ref[..., 0])
+    err = np.abs(out - ref)[away] / (tol * (1.0 + np.abs(ref[away])))
+    assert err.size > 0.5 * ref[..., 0].size
+    assert np.max(err) <= DENSE_ERROR_BOUND

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -805,6 +806,17 @@ def test_discontinuity_scan_degenerate_segment(historical):
     assert scan.jumps == []
 
 
+def test_discontinuity_scan_across_unreachable_samples_is_silent(vortex):
+    # neighbouring unreachable samples differ by inf - inf, which numpy warns about
+    segment = ((0.6, 0.1), (0.55, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = discontinuity_scan(vortex, (0.5, 0.0), segment, 40, ShootingConfig(t_max=1.0))
+    unreachable = [not s.reachable for s in scan.samples]
+    assert any(a and b for a, b in zip(unreachable, unreachable[1:]))
+    assert len(scan.jumps) == 1
+
+
 # -- cut locus ----------------------------------------------------------------------
 
 
@@ -900,3 +912,74 @@ def test_vortex_sphere_fan(vortex):
     assert result.is_sphere[tags == "hyperbolic"].all()
     assert not result.is_sphere[tags == "elliptic"].any()
     assert len(result.abnormal_arcs) == 2
+
+
+# -- known arrival bound ---------------------------------------------------------
+
+
+def _first_stage_starts(monkeypatch):
+    """Spy on the coarse Newton stage: a list that fills with (lane targets, start times)."""
+    starts = []
+    real = reachability._newton_polish
+
+    def spy(problem, q0, targets, a0, t0, position_tol, t_max, control=None):
+        if control == reachability.COARSE_CONTROL:
+            starts.append((np.array(targets), np.array(t0)))
+        return real(problem, q0, targets, a0, t0, position_tol, t_max, control)
+
+    monkeypatch.setattr(reachability, "_newton_polish", spy)
+    return starts
+
+
+def test_sphere_polishes_no_candidate_past_the_front_time(vortex, monkeypatch):
+    # every front point is reached at the front time t, so a candidate node
+    # more than CAPTURE_FACTOR grid time steps past t cannot give its value
+    starts = _first_stage_starts(monkeypatch)
+    config = ShootingConfig(t_max=0.5, n_alpha=240, n_time=160)
+    t = 0.15
+    sphere_and_ball(vortex, (0.5, 0.0), t, 8, config)
+    (_, t0), = starts
+    slack = reachability.CAPTURE_FACTOR * config.t_max / (config.n_time - 1)
+    assert t0.shape[0] > 0 and np.max(t0) <= t + slack
+
+
+def test_cut_locus_polishes_no_candidate_past_its_crossing_time(historical, monkeypatch):
+    starts = _first_stage_starts(monkeypatch)
+    config = ShootingConfig(t_max=2.5)
+    estimate = cut_locus_estimate(historical, Q0_STRONG, 2.5, n_alpha=96, config=config)
+    (targets, t0), = starts
+    crossing_time = {point.position: point.t for point in estimate.separating_points}
+    bound = np.array([crossing_time[tuple(tgt)] for tgt in targets.tolist()])
+    slack = reachability.CAPTURE_FACTOR * config.t_max / (config.n_time - 1)
+    assert t0.shape[0] > 0 and np.all(t0 <= bound + slack)
+
+
+def _powerlaw13():
+    return make_powerlaw(1.0, -3.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "family, q0, t, config",
+    [
+        ("vortex", (0.5, 0.0), 0.15, ShootingConfig(t_max=0.5, n_alpha=240, n_time=160)),
+        ("historical", Q0_STRONG, 0.3, ShootingConfig(t_max=1.0)),
+        ("powerlaw", (0.5, 0.0), 0.1, ShootingConfig(t_max=0.5, n_alpha=240, n_time=160)),
+    ],
+)
+def test_arrival_bound_only_drops_lanes_that_cannot_win(historical, vortex, family, q0, t, config):
+    # the kept lanes give the bits they give unbounded, so t_min can only rise,
+    # and only where a dropped lane landed on the same arrival a little earlier
+    problem = {"historical": historical, "vortex": vortex}.get(family) or _powerlaw13()
+    result = sphere_and_ball(problem, q0, t, 16, config)
+    points = result.front.positions[result.front.ok]
+    grid = build_shooting_grid(problem, q0, config)
+    bounded = _value_samples(grid, points, reached_at=np.full(points.shape[0], t))
+    unbounded = _value_samples(grid, points)
+    t_bounded = np.array([s.t_min for s in bounded])
+    t_free = np.array([s.t_min for s in unbounded])
+    assert t_bounded.tolist() == result.t_min[result.front.ok].tolist()
+    assert np.all(t_bounded >= t_free)
+    assert [s.reachable for s in bounded] == [s.reachable for s in unbounded]
+    on_sphere = np.abs(t_free - t) <= reachability.SPHERE_TOL * (1.0 + t)
+    assert result.is_sphere[result.front.ok].tolist() == on_sphere.tolist()
+    assert all(0 < s.n_candidates <= u.n_candidates for s, u in zip(bounded, unbounded))
