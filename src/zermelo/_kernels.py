@@ -29,16 +29,17 @@ rule: a step that would hold two or more of the row's remaining times is
 taken whole, or lands on the row's last time if it would hold that; a step
 that would hold one time lands on it.  The times strictly inside an
 accepted step are read from the Dormand-Prince continuous extension
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), which needs the step's
-stages and no further RHS evaluation; the scalar sampler recomputes stages
-2 to 6 for such a step only.  A row of one time never fills, so it takes
-the steps it takes alone, and the times of a step that halts stay nan.
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), which the scalar and
+the numpy step build from the accepted step's own stages, with no further
+RHS evaluation.  A row of one time never fills, so it takes the steps it
+takes alone, and the times of a step that halts stay nan.
 
 Each driver takes one tolerance ``tol``, relative and absolute alike, and
 the domain ``(dom_lo, dom_hi)``, and returns the samples it allocates.  The
-stepper's limits are the module constants ``MAX_STEP``, ``MAX_STEPS`` and
-``BOUNDARY_PAD``, and every driver halts by one step rule: a lane that
-takes more than ``MAX_STEPS`` trial steps stops with ``STATUS_MAX_STEPS``.
+stepper's limits are the module constants ``H_START``, ``MAX_STEP``,
+``MAX_STEPS`` and ``BOUNDARY_PAD``, and every driver halts by one step
+rule: a lane that takes more than ``MAX_STEPS`` trial steps stops with
+``STATUS_MAX_STEPS``.
 
 A lane's samples must not depend on the batch it runs in, so the numpy
 step and the scalar step produce the same bits.  ``+ - * /``, ``sqrt``,
@@ -103,9 +104,10 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 
 _H_FLOOR = 1e-14
 
-# fixed limits of the adaptive 5(4) stepper: the largest step, the trial
-# steps a lane may take, and the distance from the domain boundary that
-# halts a lane
+# fixed limits of the adaptive 5(4) stepper: the first trial step, the
+# largest step, the trial steps a lane may take, and the distance from the
+# domain boundary that halts a lane
+H_START = 1e-3
 MAX_STEP = 0.25
 MAX_STEPS = 200_000
 BOUNDARY_PAD = 1e-6
@@ -137,17 +139,19 @@ def _floor_halt(r, dom_lo, dom_hi):
 def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
     """One trial Dormand-Prince step from ``(r, th, al)``, where the RHS is ``k1``.
 
-    Returns ``(r5, th5, al5, err, k7)``: ``k7`` is the RHS at the 5th-order
-    state, the next step's ``k1`` if this one is accepted (``None`` where
-    the trial state is not finite and ``err`` is inf).
+    Returns ``(r5, th5, al5, err, k7, k3, k4, k5, k6)``: ``k7`` is the RHS
+    at the 5th-order state, the next step's ``k1`` if this one is accepted,
+    and ``k3`` ... ``k6`` are the inner stages the continuous extension
+    reads, each an ``(r, theta, alpha)`` tuple.  Where the trial state is
+    not finite, ``err`` is inf and the stages are ``None``.
     """
     k1r, k1t, k1a = k1
 
     k2r, k2t, k2a = rhs(code, k, a, b, r + h * _A21 * k1r, al + h * _A21 * k1a)
-    k3r, k3t, k3a = rhs(
+    k3 = k3r, k3t, k3a = rhs(
         code, k, a, b, r + h * (_A31 * k1r + _A32 * k2r), al + h * (_A31 * k1a + _A32 * k2a)
     )
-    k4r, k4t, k4a = rhs(
+    k4 = k4r, k4t, k4a = rhs(
         code,
         k,
         a,
@@ -155,7 +159,7 @@ def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
         r + h * (_A41 * k1r + _A42 * k2r + _A43 * k3r),
         al + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
     )
-    k5r, k5t, k5a = rhs(
+    k5 = k5r, k5t, k5a = rhs(
         code,
         k,
         a,
@@ -163,7 +167,7 @@ def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
         r + h * (_A51 * k1r + _A52 * k2r + _A53 * k3r + _A54 * k4r),
         al + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
     )
-    k6r, k6t, k6a = rhs(
+    k6 = k6r, k6t, k6a = rhs(
         code,
         k,
         a,
@@ -177,7 +181,7 @@ def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
     al5 = al + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
 
     if not (math.isfinite(r5) and math.isfinite(th5) and math.isfinite(al5)):
-        return r5, th5, al5, math.inf, None
+        return r5, th5, al5, math.inf, None, None, None, None, None
 
     k7 = rhs(code, k, a, b, r5, al5)
     k7r, k7t, k7a = k7
@@ -192,7 +196,7 @@ def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
     err = math.sqrt(((er / sr) ** 2 + (et / st) ** 2 + (ea / sa) ** 2) / 3.0)
     if not math.isfinite(err):
         err = math.inf
-    return r5, th5, al5, err, k7
+    return r5, th5, al5, err, k7, k3, k4, k5, k6
 
 
 def _new_h(h_try, err):
@@ -221,26 +225,30 @@ def _advance(
     Each trial step of length ``h`` lands on ``target``, unless it would
     hold ``second`` as well: then it is taken whole, or lands on ``last`` if
     it would hold that.  Returns ``(t, r, th, al, h, steps, status, k1,
-    h_try)``: ``steps`` counts the lane's trial steps against
+    h_try, inner)``: ``steps`` counts the lane's trial steps against
     ``MAX_STEPS``, the status is ``STATUS_DOMAIN_EXIT`` if the accepted
     radius is within ``BOUNDARY_PAD`` of the domain boundary, ``k1`` is the
-    RHS at the returned state and ``h_try`` the accepted step's length.  A
-    halt before any step is accepted returns the state it was given.
+    RHS at the returned state, ``h_try`` the accepted step's length and
+    ``inner`` its stages ``(k3, k4, k5, k6)``.  A halt before any step is
+    accepted returns the state it was given, and no stages.
     """
     while True:
         steps += 1
         if steps > MAX_STEPS:
-            return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1, 0.0
+            return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1, 0.0, None
         if h < _H_FLOOR * max(1.0, abs(t)):
-            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1, 0.0
+            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1, 0.0, None
         h_try = min(h, (last if second - t <= h else target) - t)
-        r5, th5, al5, err, k7 = _attempt_step(code, k, a, b, r, th, al, h_try, tol, k1)
+        r5, th5, al5, err, k7, k3, k4, k5, k6 = _attempt_step(
+            code, k, a, b, r, th, al, h_try, tol, k1
+        )
         h = _new_h(h_try, err)
         if err <= 1.0:
             break
+    inner = k3, k4, k5, k6
     if r5 <= dom_lo + BOUNDARY_PAD or r5 >= dom_hi - BOUNDARY_PAD:
-        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7, h_try
-    return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7, h_try
+        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7, h_try, inner
+    return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7, h_try, inner
 
 
 def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, stop_at_turn=False):
@@ -256,13 +264,13 @@ def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, s
     out_t = [0.0]
     out_y = [r0, th0, al0]
     t, r, th, al = 0.0, r0, th0, al0
-    h = min(MAX_STEP, t_final, 1e-3)
+    h = H_START
     k1 = rhs(code, k, a, b, r, al)
     radial0 = k1[0]  # cos(alpha0)
     steps = 0
     status = STATUS_OK
     while t < t_final:
-        t_new, r, th, al, h, steps, status, k1, _ = _advance(
+        t_new, r, th, al, h, steps, status, k1, _, _ = _advance(
             code, k, a, b, t, r, th, al, h, steps, t_final, tol, dom_lo, dom_hi, k1
         )
         if t_new > t:  # a step was accepted; a halt leaves t where it was
@@ -286,7 +294,7 @@ def rk45_at_times(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     """
     y = np.full((ts.shape[0], 3), np.nan)
     n_filled, status = _resume_at_times(
-        code, k, a, b, 0.0, r0, th0, al0, min(MAX_STEP, 1e-3), 0, 0, ts, tol, dom_lo, dom_hi, y
+        code, k, a, b, 0.0, r0, th0, al0, H_START, 0, 0, ts, tol, dom_lo, dom_hi, y
     )
     return n_filled, status, y
 
@@ -309,13 +317,13 @@ def _resume_at_times(code, k, a, b, t, r, th, al, h, steps, first, ts, tol, dom_
             continue
         second = ts[i + 1] if i < last else math.inf
         t0, y0, k1_0 = t, (r, th, al), k1
-        t, r, th, al, h, steps, status, k1, h_try = _advance(
+        t, r, th, al, h, steps, status, k1, h_try, inner = _advance(
             code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1, second, ts[last]
         )
         if status != STATUS_OK:
             return i, status
         if i < last and target < t:  # targets inside the step: the continuous extension
-            _, k3, k4, k5, k6 = _stages(code, k, a, b, y0[0], y0[2], h_try, k1_0)
+            k3, k4, k5, k6 = inner
             y5 = r, th, al
             terms = [
                 _dense_terms(y0[c], y5[c], h_try, k1_0[c], k3[c], k4[c], k5[c], k6[c], k1[c])
@@ -328,34 +336,6 @@ def _resume_at_times(code, k, a, b, t, r, th, al, h, steps, first, ts, tol, dom_
                 prev = ts[i]
                 i += 1
     return len(ts), STATUS_OK
-
-
-def _stages(code, k, a, b, r, al, h, k1):
-    """Stages 2 to 6 of :func:`_attempt_step` from ``(r, al)``, by the same
-    operations, so a step's interior can be sampled after it was accepted."""
-    k1r, _, k1a = k1
-    k2 = rhs(code, k, a, b, r + h * _A21 * k1r, al + h * _A21 * k1a)
-    k3 = rhs(
-        code, k, a, b,
-        r + h * (_A31 * k1r + _A32 * k2[0]),
-        al + h * (_A31 * k1a + _A32 * k2[2]),
-    )
-    k4 = rhs(
-        code, k, a, b,
-        r + h * (_A41 * k1r + _A42 * k2[0] + _A43 * k3[0]),
-        al + h * (_A41 * k1a + _A42 * k2[2] + _A43 * k3[2]),
-    )
-    k5 = rhs(
-        code, k, a, b,
-        r + h * (_A51 * k1r + _A52 * k2[0] + _A53 * k3[0] + _A54 * k4[0]),
-        al + h * (_A51 * k1a + _A52 * k2[2] + _A53 * k3[2] + _A54 * k4[2]),
-    )
-    k6 = rhs(
-        code, k, a, b,
-        r + h * (_A61 * k1r + _A62 * k2[0] + _A63 * k3[0] + _A64 * k4[0] + _A65 * k5[0]),
-        al + h * (_A61 * k1a + _A62 * k2[2] + _A63 * k3[2] + _A64 * k4[2] + _A65 * k5[2]),
-    )
-    return k2, k3, k4, k5, k6
 
 
 def _dense_terms(y0, y5, h, k1, k3, k4, k5, k6, k7):
@@ -471,7 +451,7 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     # trial steps, one per pass of the loop
     lane = np.arange(n)
     s = np.empty((8, n))
-    s[0], s[1], s[2], s[3], s[4] = 0.0, r0, th0, al0, min(MAX_STEP, 1e-3)
+    s[0], s[1], s[2], s[3], s[4] = 0.0, r0, th0, al0, H_START
     _lane_rhs(code, k, a, b, s[1:4], s[5:8])
     nxt = np.zeros(n, dtype=np.int64)
     target, last = ts[:, 0].copy(), ts[:, -1]

@@ -109,9 +109,10 @@ def refine_curve_intersection(
 ) -> tuple[float, float, tuple[float, float]] | None:
     """Polish a polyline crossing against the true curve ``eval_fn(u) -> (x, y)``.
 
-    Damped Newton on F(u1, u2) = eval(u1) - eval(u2) with finite-difference
-    Jacobian; returns ``None`` if the iteration leaves ``bounds`` or fails
-    to converge, in which case the caller keeps the polyline estimate.
+    Damped Newton on F(u1, u2) = eval(u1) - eval(u2) with a finite-difference
+    Jacobian that evaluates no parameter past ``hi``; returns ``None`` if the
+    iteration leaves ``bounds`` or fails to converge, in which case the
+    caller keeps the polyline estimate.
     """
     lo, hi = bounds
     u = np.array([u1, u2], dtype=float)
@@ -123,14 +124,19 @@ def refine_curve_intersection(
 
     f = gap(u)
     h = 1e-7 * max(1.0, hi)
+
+    def column(i):  # a forward difference, taken inward where u[i] + h would pass hi
+        step = -h if u[i] + h > hi else h
+        v = u.copy()
+        v[i] += step
+        return (gap(v) - f) / step
+
     for _ in range(REFINE_MAX_ITER):
         norm = float(np.hypot(*f))
         if norm <= REFINE_TOL:
             p = np.asarray(eval_fn(u[0]), dtype=float)
             return float(u[0]), float(u[1]), (float(p[0]), float(p[1]))
-        j1 = (gap([u[0] + h, u[1]]) - f) / h
-        j2 = (gap([u[0], u[1] + h]) - f) / h
-        jac = np.column_stack((j1, j2))
+        jac = np.column_stack((column(0), column(1)))
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:

@@ -241,12 +241,17 @@ def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
         if math.isfinite(scalar[3]):
             assert scalar[4] == _kernels.rhs(*head, scalar[0], scalar[2])
             assert scalar[4] == tuple(stages[-1, :, i])
+            # the inner stages the continuous extension reads
+            assert scalar[5:] == tuple(tuple(stages[j, :, i]) for j in range(1, 5))
+        else:
+            assert scalar[4:] == (None,) * 5
 
 
-@pytest.mark.parametrize("sampler", ["trajectory", "at-times"])
+@pytest.mark.parametrize("sampler", ["trajectory", "at-times", "dense-row"])
 def test_rhs_once_at_start_and_at_most_six_per_trial_step(monkeypatch, sampler):
     # the step is first same as last: an accepted step hands its last stage
-    # on as the next step's first, and a rejected trial keeps its first
+    # on as the next step's first, and a rejected trial keeps its first; a
+    # dense row reads the times inside a step from that step's own stages
     calls = {"rhs": 0, "trial": 0}
     rhs, attempt = _kernels.rhs, _kernels._attempt_step
 
@@ -263,8 +268,12 @@ def test_rhs_once_at_start_and_at_most_six_per_trial_step(monkeypatch, sampler):
     problem, start = make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0, 0.9)
     if sampler == "trajectory":
         _, _, status = _trajectory(problem, *start, 1.0)
-    else:
+    elif sampler == "at-times":
         _, _, status = _at_times(problem, *start, [0.1, 0.4, 1.0])
+    else:
+        _, status, _ = _kernels.rk45_at_times(
+            *_head(problem), *start, np.linspace(0.0, 1.0, 200), 1e-7, *problem.domain
+        )
     assert status == _kernels.STATUS_OK
     assert calls["trial"] > 10
     assert calls["rhs"] <= 1 + 6 * calls["trial"]

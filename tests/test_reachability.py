@@ -19,6 +19,7 @@ from zermelo import (
     discontinuity_scan,
     endpoints,
     integrate_closed_form_historical,
+    integrate_numeric,
     self_intersections,
     sphere_and_ball,
     value_function,
@@ -756,6 +757,19 @@ def test_hyperbolic_near_abnormal_loops_once(historical):
     )
     assert math.hypot(p1.c1 - p2.c1, p1.c2 - p2.c2) < 1e-8
     assert math.hypot(p1.c1 - pos[0], p1.c2 - pos[1]) < 1e-6
+
+
+def test_crossing_next_to_the_trajectory_end_stays_inside_its_span():
+    # the second crossing time lies within one finite-difference step of
+    # t_end: the polish must not ask for the state past the end of the span
+    problem = make_powerlaw(1.0, -2.0, 0.5)
+    start = ExtendedState(0.5335213697303894, 0.829825906713785, -math.pi / 8)
+    traj = integrate_numeric(problem, start, 1.2867129035842624)
+    hits = self_intersections(traj)
+    assert len(hits) == 1
+    t1, t2, _ = hits[0]
+    assert 0.0 <= t1 < t2 <= traj.t_end
+    assert abs(t1 - 0.61915) < 1e-4 and abs(t2 - 1.28663) < 1e-4
 
 
 # -- discontinuity scan ------------------------------------------------------------
