@@ -23,12 +23,16 @@ tries the step lengths 1, 1/2, 1/4, ... in doubling blocks of 1, 1, 2, 4,
 ... lengths, one ``endpoints`` batch per block; each lane takes the first
 length that lowers its residual, the iterate halving one length per batch
 would give (the lengths are exact, and a lane's endpoint does not depend on
-its batch).  A line-search trial past twice ``t_max`` is never integrated:
-it cannot give a value and would cost a long integration.  The minimal
-polished arrival time over all candidates is reported, with the Newton
-iterations of the achieving candidate over both stages (``n_newton``).  A
-target with no candidate node, or none that lands by ``t_max``, is
-unreachable: a value, not an error.
+its batch).  The finite-difference Jacobian of a lane whose last accepted
+step was the full one rides in the batch of its next full-step trial, so a
+lane that keeps taking full steps costs one ``endpoints`` batch per
+iteration; a lane that backtracked takes its Jacobian in a separate batch
+until it takes a full step again.  A line-search trial past twice ``t_max``
+is never integrated: it cannot give a value and would cost a long
+integration.  The minimal polished arrival time over all candidates is
+reported, with the Newton iterations of the achieving candidate over both
+stages (``n_newton``).  A target with no candidate node, or none that lands
+by ``t_max``, is unreachable: a value, not an error.
 
 The grid is the whole shooting context: it carries the problem, start and
 config it was built from, and shooting reads them from the grid alone.  It
@@ -43,10 +47,17 @@ estimate first collects the crossings of all its (untagged) fronts.  The
 grid samples the endpoint map at ``COARSE_CONTROL``: it only seeds the
 first stage, which iterates on that map.  Spheres and cut-locus estimates
 know a time by which each of their targets is reached, the front time:
-a candidate node more than ``CAPTURE_FACTOR`` grid time steps past it is
-not polished, since an earlier arrival has a candidate within that many
-local cells.  A lane's result does not depend on its batch, so the kept
-lanes give the bits they give unbounded, and ``t_min`` can only rise.
+a candidate node more than ``CAPTURE_FACTOR`` grid time steps past it (the
+arrival bound) is not polished, since an earlier arrival has a candidate
+within that many local cells.  A lane's result does not depend on its
+batch, so the kept lanes give the bits they give unbounded, and ``t_min``
+can only rise.  Their grid rows stop one time past the latest arrival
+bound, so no heading is integrated to a time no candidate can have;
+``t_max`` stays the Newton horizon.  The times are a prefix of the full
+grid's and a lane starts from its node's heading and time, so the lanes
+are the full grid's as long as the candidates are: only the endpoints of a
+row's last step, which lands on the new last time, move (within the step
+tolerance), and they can change a candidate only by a near tie.
 """
 
 from __future__ import annotations
@@ -180,7 +191,7 @@ class ShootingGrid:
     q0: tuple[float, float]
     config: ShootingConfig
     alphas: np.ndarray  # (n_alpha,) chart headings
-    times: np.ndarray  # (n_time,) ascending from 0
+    times: np.ndarray  # (n_time,) ascending from 0; a prefix of the config's if rows stop early
     positions: np.ndarray  # (n_alpha, n_time, 2); nan where integration halted
     cell: np.ndarray = field(init=False)  # (n_alpha, n_time) local endpoint spacing
     tiles: np.ndarray = field(init=False, repr=False)  # (5, n_tile_alpha, n_tile_time) boxes
@@ -277,17 +288,36 @@ def _heading_circle(n: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
 
 
+def _arrival_bound(times: np.ndarray, reached_by: float) -> float:
+    """The latest grid time of a candidate for a target reached by ``reached_by``.
+
+    An arrival by then has a candidate within ``CAPTURE_FACTOR`` local
+    cells, so at most that many grid time steps later.
+    """
+    return reached_by + CAPTURE_FACTOR * times[1]
+
+
 def build_shooting_grid(
-    problem: ProblemDefinition, q0, config: ShootingConfig | None = None
+    problem: ProblemDefinition,
+    q0,
+    config: ShootingConfig | None = None,
+    *,
+    reached_by: float = math.inf,
 ) -> ShootingGrid:
     """Dense endpoint grid over evenly spaced headings and times up to t_max.
 
     The grid only seeds the first Newton stage, so it samples the endpoint
-    map that stage iterates on, integrated at ``COARSE_CONTROL``.
+    map that stage iterates on, integrated at ``COARSE_CONTROL``.  When
+    every target is known to be reached by ``reached_by``, the rows stop
+    one time past the arrival bound, the last candidate time: the times are
+    a prefix of the full grid's, and every candidate keeps its time
+    neighbours.  ``config.t_max`` stays the Newton horizon.
     """
     config = config or ShootingConfig()
     alphas = _heading_circle(config.n_alpha)
     times = np.linspace(0.0, config.t_max, config.n_time)
+    k = np.count_nonzero(times <= _arrival_bound(times, reached_by))
+    times = times[: k + 1]
     q0 = (float(q0[0]), float(q0[1]))
     positions = endpoints(problem, q0, alphas, times[None, :], COARSE_CONTROL)
     return ShootingGrid(problem, q0, config, alphas, times, positions)
@@ -310,13 +340,14 @@ def _tile_nodes(grid: ShootingGrid, tx: float, ty: float) -> np.ndarray:
     return (rows[:, :, None] * n_time + cols[:, None, :])[inside]
 
 
-def _candidate_nodes(grid: ShootingGrid, target):
+def _candidate_nodes(grid: ShootingGrid, target, reached_by: float = math.inf):
     """Grid nodes that plausibly bracket an arrival at the target.
 
-    A candidate lies within its capture radius of the target, and none of
-    its heading neighbours (which wrap) or time neighbours (which do not) is
-    closer.  Rows ``(i_heading, i_time)`` come in row-major order, cut to
-    the ``MAX_CANDIDATES`` nearest; there may be none.
+    A candidate lies within its capture radius of the target, no later than
+    the arrival bound of ``reached_by``, and none of its heading neighbours
+    (which wrap) or time neighbours (which do not) is closer.  Rows
+    ``(i_heading, i_time)`` come in row-major order, cut to the
+    ``MAX_CANDIDATES`` nearest; there may be none.
     """
     tx, ty = float(target[0]), float(target[1])
     n_alpha, n_time = grid.cell.shape
@@ -331,6 +362,7 @@ def _candidate_nodes(grid: ShootingGrid, target):
     nodes = _tile_nodes(grid, tx, ty)
     d = distance(nodes)
     keep = d <= CAPTURE_FACTOR * np.fmax(grid.cell.reshape(-1)[nodes], 1e-12)
+    keep &= grid.times[nodes % n_time] <= _arrival_bound(grid.times, reached_by)
     nodes, d = nodes[keep], d[keep]
     # each test keeps the nodes no farther than one neighbour; the heading
     # neighbours reject most, so the time neighbours see only the survivors
@@ -366,26 +398,53 @@ def _newton_polish(
     stopping state and step length, so its result does not depend on the
     other lanes of the batch.  The line search tries the step lengths
     ``0.5**i``, i < ``LINE_SEARCH_STEPS``, in blocks of 1, 1, 2, 4, ...
-    lengths, one endpoint batch per block (6 batches for the 20 lengths),
+    lengths, one endpoint batch per block (6 blocks for the 20 lengths),
     and a lane takes the first length in its block that lowers its
     residual.  That is the iterate halving one length per batch would give:
     the lengths are exact and a lane's endpoint does not depend on its
     batch.  A line-search trial past ``2 * t_max`` is not integrated and
-    counts as no better.  Returns (headings, times, residuals, iterations):
-    times clamped to [0, inf), residuals the final landing errors,
-    iterations the Newton steps each lane took.
+    counts as no better.
+
+    The finite-difference Jacobian at an iterate needs the endpoints one
+    step ``h`` along each of its two columns.  Every lane takes them with
+    its starting point, and a lane whose last accepted step was the full
+    one takes them with its next full-step trial, in the same batch: if
+    that trial is accepted, the next iteration needs no Jacobian batch for
+    the lane.  A lane that backtracked takes its Jacobian in a separate
+    batch before its trial, until a full step is accepted again; near a
+    fold, where lanes backtrack on most iterations, carried columns would
+    mostly be thrown away.  So a run whose lanes all take full steps makes one batch per
+    iteration and one to start.  Returns (headings, times, residuals,
+    iterations): times clamped to [0, inf), residuals the final landing
+    errors, iterations the Newton steps each lane took.
     """
     targets = np.asarray(targets, dtype=float)
+    h = 1e-7
 
     def endpoint_batch(headings, times):
         return endpoints(problem, q0, headings, times[:, None], control)[:, 0]
 
+    def steps(headings, times):
+        """The points one step along each Jacobian column: heading steps, then time steps."""
+        return np.concatenate((headings + h, headings)), np.concatenate((times, times + h))
+
+    def with_columns(headings, times, carry):
+        """Endpoints at the points, and at the steps of the points ``carry`` selects."""
+        step_al, step_tt = steps(headings[carry], times[carry])
+        out = endpoint_batch(np.concatenate((headings, step_al)), np.concatenate((times, step_tt)))
+        n = headings.shape[0]
+        return out[:n], out[n:].reshape(2, -1, 2)
+
     al = np.asarray(a0, dtype=float).copy()
     tt = np.asarray(t0, dtype=float).copy()
-    f = endpoint_batch(al, tt) - targets
-    h = 1e-7
-    done = np.zeros(al.shape[0], dtype=bool)
-    iterations = np.zeros(al.shape[0], dtype=int)
+    n_lane = al.shape[0]
+    # columns[:, i] are the endpoints at lane i's steps, valid at its iterate where fresh[i]
+    f, columns = with_columns(al, tt, np.ones(n_lane, dtype=bool))
+    f -= targets
+    fresh = np.ones(n_lane, dtype=bool)
+    carry = np.ones(n_lane, dtype=bool)  # the last accepted step was the full step
+    done = np.zeros(n_lane, dtype=bool)
+    iterations = np.zeros(n_lane, dtype=int)
     for _ in range(MAX_NEWTON):
         norm = np.hypot(f[:, 0], f[:, 1])
         done |= norm <= position_tol
@@ -393,19 +452,19 @@ def _newton_polish(
         if ia.shape[0] == 0:
             break
         iterations[ia] += 1
+        stale = ia[~fresh[ia]]
+        if stale.shape[0]:
+            columns[:, stale] = endpoint_batch(*steps(al[stale], tt[stale])).reshape(2, -1, 2)
         fa, ta = f[ia], targets[ia]
-        # both Jacobian columns in one batch: the heading steps, then the time steps
-        n_a = ia.shape[0]
-        shifted = endpoint_batch(
-            np.concatenate((al[ia] + h, al[ia])), np.concatenate((tt[ia], tt[ia] + h))
-        )
-        ja = (shifted[:n_a] - ta - fa) / h
-        jt = (shifted[n_a:] - ta - fa) / h
+        ja = (columns[0, ia] - ta - fa) / h
+        jt = (columns[1, ia] - ta - fa) / h
         det = ja[:, 0] * jt[:, 1] - ja[:, 1] * jt[:, 0]
         ok = np.abs(det) > 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             da = np.where(ok, (-fa[:, 0] * jt[:, 1] + fa[:, 1] * jt[:, 0]) / det, 0.0)
             dt = np.where(ok, (-ja[:, 0] * fa[:, 1] + ja[:, 1] * fa[:, 0]) / det, 0.0)
+        carried = carry[ia]
+        fresh[ia] = carry[ia] = False  # until a full step is accepted
         start = 0  # first step-length exponent of the next block
         while ia.shape[0] > 0 and start < LINE_SEARCH_STEPS:
             stop = min(max(2 * start, 1), LINE_SEARCH_STEPS)
@@ -415,16 +474,22 @@ def _newton_polish(
             # a time far past the horizon costs a long integration and cannot be a value
             fits = trial_tt <= 2.0 * t_max
             f_trial = np.full(trial_al.shape + (2,), np.inf)
-            f_trial[fits] = (
-                endpoint_batch(trial_al[fits], trial_tt[fits])
-                - np.broadcast_to(targets[ia, None], f_trial.shape)[fits]
-            )
+            if start == 0:  # the full step: the carrying lanes take their steps with it
+                ride = fits[:, 0] & carried
+                values, columns[:, ia[ride]] = with_columns(
+                    trial_al[fits], trial_tt[fits], ride[fits[:, 0]]
+                )
+            else:
+                values = endpoint_batch(trial_al[fits], trial_tt[fits])
+            f_trial[fits] = values - np.broadcast_to(targets[ia, None], f_trial.shape)[fits]
             better = np.hypot(f_trial[..., 0], f_trial[..., 1]) < norm[ia, None]
             hit = better.any(axis=1)
             first = better[hit].argmax(axis=1)
             sel = ia[hit]
             al[sel], tt[sel] = trial_al[hit, first], trial_tt[hit, first]
             f[sel] = f_trial[hit, first]
+            if start == 0:
+                fresh[sel], carry[sel] = ride[hit], True
             ia, da, dt = ia[~hit], da[~hit], dt[~hit]
             start = stop
         done[ia] = True  # converged or stuck; final residual decides below
@@ -435,12 +500,10 @@ def _value_samples(grid: ShootingGrid, targets, reached_at=None) -> list[ValueSa
     """:func:`value_function` at every target, with one Newton batch for all of them.
 
     ``reached_at`` holds, per target, a time at which the target is known
-    to be reached, so its value is no later.  A candidate node more than
-    ``CAPTURE_FACTOR`` grid time steps past that time is not polished: an
-    arrival by then has a candidate within that many local cells.
+    to be reached, so its value is no later.  A candidate node past that
+    time's arrival bound is not polished.
     """
     problem, q0, config = grid.problem, grid.q0, grid.config
-    slack = CAPTURE_FACTOR * grid.times[1]
     samples: list[ValueSample | None] = []
     shots = []  # (sample slot, target, candidate nodes) of the targets that need Newton
     for n, target in enumerate(targets):
@@ -450,9 +513,7 @@ def _value_samples(grid: ShootingGrid, targets, reached_at=None) -> list[ValueSa
         if gap <= config.position_tol:
             samples.append(ValueSample(tgt, 0.0, None, "interior", 0, gap))
             continue
-        idx = _candidate_nodes(grid, tgt)
-        if reached_at is not None:
-            idx = idx[grid.times[idx[:, 1]] <= reached_at[n] + slack]
+        idx = _candidate_nodes(grid, tgt, math.inf if reached_at is None else reached_at[n])
         if idx.shape[0] == 0:
             samples.append(ValueSample(tgt, UNREACHABLE, None, "unreachable"))
             continue
@@ -505,13 +566,16 @@ def value_function(
 
     Pass a prebuilt :class:`ShootingGrid` when evaluating many targets from
     the same start; one built for another problem, start or config raises
-    ``ValueError``.
+    ``ValueError``, and so does one whose rows stop at an arrival bound
+    short of ``t_max``: it would report a later arrival as unreachable.
     """
     config = config or ShootingConfig()
     if grid is None:
         grid = build_shooting_grid(problem, q0, config)
     elif (grid.problem, grid.q0, grid.config) != (problem, (float(q0[0]), float(q0[1])), config):
         raise ValueError("shooting grid was built for another problem, start or config")
+    elif grid.times[-1] < config.t_max:
+        raise ValueError("shooting grid stops short of t_max; build it without reached_by")
     return _value_samples(grid, [target])[0]
 
 
@@ -588,7 +652,9 @@ def sphere_and_ball(
     t_min = np.full(front.alpha0.shape[0], UNREACHABLE)
     points = front.positions[front.ok]
     samples = _value_samples(
-        build_shooting_grid(problem, q0, config), points, reached_at=np.full(points.shape[0], t)
+        build_shooting_grid(problem, q0, config, reached_by=t),
+        points,
+        reached_at=np.full(points.shape[0], t),
     )
     t_min[front.ok] = [sample.t_min for sample in samples]
     is_sphere = np.abs(t_min - t) <= SPHERE_TOL * (1.0 + t)
@@ -728,10 +794,11 @@ def cut_locus_estimate(
             continue
         pts = np.vstack((front, front[:1]))
         crossings += [(float(t_k), *hit) for hit in polyline_self_intersections(pts, par)]
+    reached_at = [t_k for t_k, *_ in crossings]
     samples = _value_samples(
-        build_shooting_grid(problem, q0, config),
+        build_shooting_grid(problem, q0, config, reached_by=max(reached_at, default=0.0)),
         [pos for *_, pos in crossings],
-        reached_at=[t_k for t_k, *_ in crossings],
+        reached_at=reached_at,
     )
     separating = [
         SeparatingPoint(

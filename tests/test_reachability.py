@@ -1,6 +1,7 @@
 """Wavefronts, spheres, shooting, discontinuity scan, cut locus."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -223,6 +224,17 @@ def test_value_function_rejects_grid_from_other_start(historical, vortex):
     assert value_function(historical, Q0_WEAK, (0.3, 0.5), config, grid).reachable
 
 
+def test_value_function_rejects_a_grid_cut_at_an_arrival_bound(historical):
+    # rows that stop at a sphere's arrival bound would report a later arrival as unreachable
+    config = ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)
+    target = reach(historical, Q0_STRONG, 0.3, 0.7)
+    grid = build_shooting_grid(historical, Q0_STRONG, config, reached_by=0.2)
+    with pytest.raises(ValueError, match="stops short of t_max"):
+        value_function(historical, Q0_STRONG, target, config, grid)
+    grid = build_shooting_grid(historical, Q0_STRONG, config)
+    assert value_function(historical, Q0_STRONG, target, config, grid).reachable
+
+
 def test_value_sample_reports_candidates_and_residual(historical):
     config = ShootingConfig(t_max=3.0)
     grid = build_shooting_grid(historical, Q0_STRONG, config)
@@ -242,7 +254,7 @@ def test_value_sample_reports_candidates_and_residual(historical):
     assert lost.n_candidates == _candidate_nodes(grid, (-40.0, 2.0)).shape[0]
 
 
-def _full_scan_candidates(grid, target):
+def _full_scan_candidates(grid, target, reached_by=math.inf):
     """Candidate search over every grid node: the oracle of the hashed search."""
     diff = grid.positions - np.asarray(target, dtype=float)
     d = np.hypot(diff[..., 0], diff[..., 1])
@@ -253,6 +265,7 @@ def _full_scan_candidates(grid, target):
     local[:, :-1] &= d[:, :-1] <= d[:, 1:]
     capture = reachability.CAPTURE_FACTOR * np.fmax(grid.cell, 1e-12)
     mask = local & np.isfinite(d) & (d <= capture)
+    mask &= grid.times <= reached_by + reachability.CAPTURE_FACTOR * grid.times[1]
     idx = np.argwhere(mask)
     if idx.shape[0] > reachability.MAX_CANDIDATES:
         order = np.argsort(d[idx[:, 0], idx[:, 1]])[: reachability.MAX_CANDIDATES]
@@ -286,9 +299,12 @@ def test_candidate_index_matches_full_scan(historical, vortex, family, q0, confi
     box = rng.uniform(nodes.min(axis=0), nodes.max(axis=0), (20, 2))
     far = np.array([[1e6, -1e6], [1e300, 0.0], [-1e-300, 5e200]])
     sizes = []
-    for target in np.vstack((near, box, far)):
-        expected = _full_scan_candidates(grid, target)
-        found = _candidate_nodes(grid, target)
+    # every other target is known to be reached early: the arrival bound drops
+    # the later nodes before the MAX_CANDIDATES cut
+    bounds = (math.inf, grid.times[grid.times.shape[0] // 3])
+    for i, target in enumerate(np.vstack((near, box, far))):
+        expected = _full_scan_candidates(grid, target, bounds[i % 2])
+        found = _candidate_nodes(grid, target, bounds[i % 2])
         assert found.dtype == expected.dtype
         np.testing.assert_array_equal(found, expected)
         sizes.append(found.shape[0])
@@ -635,10 +651,89 @@ def test_block_line_search_matches_halving(historical, vortex, monkeypatch, case
     result = _newton_polish(*args)
     for got, want in zip(result, reference):  # headings, times, residuals, iterations
         np.testing.assert_array_equal(got, want)
-    # one initial batch, then per iteration the Jacobian and at most 6 trial blocks
+    # one initial batch, then per iteration at most one Jacobian batch (none
+    # for lanes whose columns rode along with their full step) and 6 trial blocks
     assert len(calls) <= 1 + int(result[3].max()) * (1 + 6)
     if case == "unit-current":
         assert np.any(result[3] == MAX_NEWTON)
+
+
+def _endpoint_calls(monkeypatch):
+    """Spy on ``endpoints``: a list that fills with the (headings, times) of each call."""
+    calls = []
+    real = reachability.endpoints
+
+    def spy(problem, q0, headings, ts, control=None):
+        calls.append((np.array(headings), np.array(ts).reshape(-1)))
+        return real(problem, q0, headings, ts, control)
+
+    monkeypatch.setattr(reachability, "endpoints", spy)
+    return calls
+
+
+def test_newton_full_steps_take_one_batch_per_iteration(historical, monkeypatch):
+    # every lane lands by full steps, so each iteration reuses the Jacobian
+    # columns that rode along with the step before it
+    config = ShootingConfig(t_max=1.0, n_alpha=96, n_time=64)
+    grid = build_shooting_grid(historical, Q0_STRONG, config)
+    targets = [reach(historical, Q0_STRONG, heading, 0.5) for heading in (0.3, 1.0, -1.0)]
+    nodes = [_candidate_nodes(grid, tgt) for tgt in targets]
+    idx = np.concatenate(nodes)
+    lane_targets = np.repeat(np.asarray(targets), [n.shape[0] for n in nodes], axis=0)
+    calls = _endpoint_calls(monkeypatch)
+    _, _, residual, iterations = _newton_polish(
+        historical, Q0_STRONG, lane_targets, grid.alphas[idx[:, 0]], grid.times[idx[:, 1]],
+        config.position_tol, config.t_max,
+    )
+    assert idx.shape[0] > 1 and np.all(residual <= config.position_tol)
+    assert iterations.max() >= 3
+    assert len(calls) == 1 + iterations.max()
+
+
+def _call_kind(headings, times, h=1e-7):
+    """``J``: one lane's Jacobian batch; ``C``: a point with its Jacobian steps; else ``T``."""
+    n = headings.shape[0]
+    if n == 2 and (headings[0], times[1]) == (headings[1] + h, times[0] + h):
+        return "J"
+    if n == 3:
+        a, t = headings[0], times[0]
+        if [*headings, *times] == [a, a + h, a, t, t, t + h]:
+            return "C"
+    return "T"
+
+
+@pytest.mark.parametrize(
+    "target, node",
+    [(13, (669, 43)), (14, (13, 70))],  # lands after two backtracks; stalls on the fold
+)
+def test_newton_lane_carries_no_columns_right_after_a_backtrack(
+    historical, monkeypatch, target, node
+):
+    q0 = (0.0, 1.0)  # on the strong/weak boundary
+    config = ShootingConfig()
+    grid = build_shooting_grid(historical, q0, config)
+    lane_target = wavefront(historical, q0, 0.3, 16).positions[target : target + 1]
+    calls = _endpoint_calls(monkeypatch)
+    _, _, _, (its,) = _newton_polish(
+        historical, q0, lane_target, grid.alphas[[node[0]]], grid.times[[node[1]]],
+        config.position_tol, config.t_max,
+    )
+    kinds = "".join(_call_kind(*call) for call in calls)
+    # the start carries its columns; then each iteration is an optional Jacobian
+    # batch, the full-step trial, and the backtracking blocks
+    assert kinds[0] == "C"
+    steps = re.findall("J?[CT]T*", kinds[1:])
+    assert "".join(steps) == kinds[1:] and len(steps) == its
+    backtracks = 0
+    for before, after in zip(steps, steps[1:]):
+        trials = before.lstrip("J")
+        if len(trials) > 1:  # backtracked: a Jacobian batch, and a trial alone
+            backtracks += 1
+            assert after.startswith("JT")
+        else:  # a full step: the next trial carries columns, and needs no
+            # Jacobian batch if this one carried them
+            assert after.startswith("C" if trials == "C" else "JC")
+    assert backtracks >= 2
 
 
 @pytest.mark.parametrize("n_samples", [20, 80])
@@ -997,3 +1092,71 @@ def test_arrival_bound_only_drops_lanes_that_cannot_win(historical, vortex, fami
     on_sphere = np.abs(t_free - t) <= reachability.SPHERE_TOL * (1.0 + t)
     assert result.is_sphere[result.front.ok].tolist() == on_sphere.tolist()
     assert all(0 < s.n_candidates <= u.n_candidates for s, u in zip(bounded, unbounded))
+
+
+def _grids(monkeypatch, bounded=True):
+    """Record the grids shooting builds; with ``bounded=False`` every grid runs to t_max."""
+    built = []
+
+    def build(problem, q0, config=None, *, reached_by=math.inf):
+        built.append(
+            build_shooting_grid(problem, q0, config, reached_by=reached_by if bounded else math.inf)
+        )
+        return built[-1]
+
+    monkeypatch.setattr(reachability, "build_shooting_grid", build)
+    return built
+
+
+def _assert_cut_at(grid, whole, reached_by):
+    """``grid`` holds ``whole``'s times up to one past the arrival bound of ``reached_by``."""
+    n = grid.times.shape[0]
+    np.testing.assert_array_equal(grid.times, whole.times[:n])
+    bound = reached_by + reachability.CAPTURE_FACTOR * whole.times[1]
+    assert grid.times[-2] <= bound < grid.times[-1] < whole.times[-1]
+    assert grid.positions.shape == (whole.alphas.shape[0], n, 2)
+
+
+@pytest.mark.parametrize(
+    "family, q0, t, config",
+    [
+        ("vortex", (0.5, 0.0), 0.15, ShootingConfig(t_max=0.5, n_alpha=240, n_time=160)),
+        ("historical", Q0_STRONG, 0.3, ShootingConfig(t_max=1.0)),
+        ("powerlaw", (0.5, 0.0), 0.1, ShootingConfig(t_max=0.5, n_alpha=240, n_time=160)),
+    ],
+)
+def test_sphere_on_rows_cut_at_the_arrival_bound_equals_the_full_grid(
+    historical, vortex, monkeypatch, family, q0, t, config
+):
+    problem = {"historical": historical, "vortex": vortex}.get(family) or _powerlaw13()
+    wholes = _grids(monkeypatch, bounded=False)
+    full = sphere_and_ball(problem, q0, t, 16, config)
+    grids = _grids(monkeypatch)
+    result = sphere_and_ball(problem, q0, t, 16, config)
+    (whole,), (grid,) = wholes, grids
+    _assert_cut_at(grid, whole, t)
+    assert result.t_min.tolist() == full.t_min.tolist()
+    assert result.is_sphere.tolist() == full.is_sphere.tolist()
+    assert result.is_sphere.any() and not result.is_sphere.all()
+
+
+def test_cut_locus_on_rows_cut_at_the_arrival_bound_equals_the_full_grid(historical, monkeypatch):
+    # the last front is at 2.5, far inside the config's horizon of 6
+    config = ShootingConfig()
+    samples = []
+    real = reachability._value_samples
+
+    def spy(*args, **kwargs):
+        samples.append(real(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(reachability, "_value_samples", spy)
+    wholes = _grids(monkeypatch, bounded=False)
+    full = cut_locus_estimate(historical, Q0_STRONG, 2.5, n_alpha=96, config=config)
+    grids = _grids(monkeypatch)
+    estimate = cut_locus_estimate(historical, Q0_STRONG, 2.5, n_alpha=96, config=config)
+    (whole,), (grid,) = wholes, grids
+    _assert_cut_at(grid, whole, max(point.t for point in estimate.separating_points))
+    assert estimate.separating_points == full.separating_points
+    # each crossing's polished value, not only its confirmed flag
+    assert samples[1] == samples[0] and any(sample.reachable for sample in samples[1])
