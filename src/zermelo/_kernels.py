@@ -12,13 +12,14 @@ it was given, so a trial step evaluates the RHS 6 times and a lane once
 more at its start.  ``rk45_trajectory`` can also stop at the radial turn,
 the first accepted step whose ``cos(alpha)`` has the opposite sign to the
 start's.  The lane kernel ``rk45_lanes`` samples N lanes at
-once: one numpy loop advances every running lane by one trial step.  The
+once: one numpy loop advances every running lane by one trial step.  Its
+lanes share one ascending row of times, or take one time each.  The
 running lanes' (t, r, theta, alpha, h) and the RHS at their state are the
 columns of one (8, N) array, beside their indices and targets: the lane
 step is FSAL too, so a pass makes 6 RHS evaluations.  Each pass records
-the status of every lane that stops (all targets filled, a descending
-target, a step size below the floor, ``MAX_STEPS`` passed, a domain exit),
-and one statement drops them.  Both steppers name a floor halt by ``_floor_halt``.
+the status of every lane that stops (all targets filled, a step size below
+the floor, ``MAX_STEPS`` passed, a domain exit), and one statement drops
+them.  Both steppers name a floor halt by ``_floor_halt``.
 When fewer than ``TAIL_LANES`` lanes remain, each one finishes in the
 scalar stepper, resumed from its column.  The right-hand side reads the
 family profiles from ``problems.profile_table``.
@@ -111,9 +112,6 @@ H_START = 1e-3
 MAX_STEP = 0.25
 MAX_STEPS = 200_000
 BOUNDARY_PAD = 1e-6
-
-# targets a lane reads per round when it fills the inside of a step
-FILL_BLOCK = 16
 
 # a numpy step of the lane kernel costs about as much as 16 scalar steps
 # (about 200 us against 13 us on a 2-vCPU x86 VM), so below this many
@@ -291,6 +289,8 @@ def rk45_at_times(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     each time, nan in the rows past a premature halt.  A step lands on each
     time it alone would hold and on the last time; the times inside a step
     that would hold two or more are read from the continuous extension.
+    Nothing here checks that ``ts`` ascends; :func:`zermelo.flow.endpoints`
+    rejects a row that does not.
     """
     y = np.full((ts.shape[0], 3), np.nan)
     n_filled, status = _resume_at_times(
@@ -309,9 +309,7 @@ def _resume_at_times(code, k, a, b, t, r, th, al, h, steps, first, ts, tol, dom_
     i = first
     while i <= last:
         target = ts[i]
-        if not t < target:  # reached; a descending target halts the row
-            if target < t:
-                return i, STATUS_STEP_COLLAPSE
+        if not t < target:  # reached
             out_y[i] = r, th, al
             i += 1
             continue
@@ -329,11 +327,9 @@ def _resume_at_times(code, k, a, b, t, r, th, al, h, steps, first, ts, tol, dom_
                 _dense_terms(y0[c], y5[c], h_try, k1_0[c], k3[c], k4[c], k5[c], k6[c], k1[c])
                 for c in range(3)
             ]
-            prev = t0
-            while i < last and prev <= ts[i] < t:
+            while i < last and ts[i] < t:
                 theta = (ts[i] - t0) / h_try
                 out_y[i] = [_dense(c0, c, theta) for c0, c in zip(y0, terms)]
-                prev = ts[i]
                 i += 1
     return len(ts), STATUS_OK
 
@@ -402,59 +398,50 @@ def _attempt_lanes(code, k, a, b, y, h, tol, k1):
     return y5, err, stages
 
 
-def _fill_inside(ts, rows, nxt, t0, h, t_new, y0, terms, out_y):
+def _fill_inside(row, rows, nxt, t0, h, t_new, y0, terms, out_y):
     """Fill the targets inside the accepted steps of the lanes ``rows`` from
     their continuous extensions; returns each lane's next target index.
 
-    A lane fills its targets from ``nxt`` on while they ascend from ``t0``,
-    lie before ``t_new`` and are not its row's last, as
-    :func:`_resume_at_times` does.  Each round reads the next ``FILL_BLOCK``
-    targets of the lanes that filled a whole block, so the work arrays are
-    (lanes x ``FILL_BLOCK``), never (lanes x targets).
+    Each lane fills the times of the shared ascending ``row`` from ``nxt``
+    on that lie before ``t_new`` and are not the row's last, as
+    :func:`_resume_at_times` does; one search finds where each lane stops.
     """
-    last = ts.shape[1] - 1
-    go, prev = np.arange(rows.shape[0]), t0[:, None]  # lanes that may have more inside
-    while go.shape[0]:
-        cols = nxt[go, None] + np.arange(FILL_BLOCK)
-        tt = ts[rows[go, None], np.minimum(cols, last)]
-        ok = (cols < last) & (tt < t_new[go, None])
-        ok &= np.concatenate((prev, tt[:, :-1]), axis=1) <= tt
-        take = np.logical_and.accumulate(ok, axis=1)
-        theta = (tt - t0[go, None]) / h[go, None]
-        y = _dense(y0[:, go, None], [c[:, go, None] for c in terms], theta)
-        i, j = np.nonzero(take)
-        out_y[rows[go[i]], cols[i, j]] = y[:, i, j].T
-        n = np.count_nonzero(take, axis=1)
-        nxt[go] += n
-        full = n == FILL_BLOCK
-        go, prev = go[full], tt[full, -1:]
-    return nxt
+    end = np.minimum(np.searchsorted(row, t_new), row.shape[0] - 1)
+    count = end - nxt
+    i = np.repeat(np.arange(count.shape[0]), count)
+    cols = np.arange(i.shape[0]) + (end - np.cumsum(count))[i]
+    theta = (row[cols] - t0[i]) / h[i]
+    out_y[rows[i], cols] = _dense(y0[:, i], [c[:, i] for c in terms], theta).T
+    return end
 
 
 def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
     """:func:`rk45_at_times` on N lanes at once.
 
     Lane ``i`` starts at ``(r0, th0, al0)`` (each a scalar or an (N,) array)
-    and samples the ascending times ``ts[i]``; ``ts`` is (N, M).  Each lane
-    takes the steps, and fills the rows, that :func:`rk45_at_times` gives it
-    alone, bit for bit.  Returns ``(status, y)``: the status of each lane
-    (N,) and the states (N, M, 3), nan past a lane's halt.
+    and samples the times ``ts``: one ascending row shared by every lane,
+    (1, M), or one time per lane, (N, 1).  Each lane takes the steps, and
+    fills the rows, that :func:`rk45_at_times` gives it alone, bit for bit.
+    Returns ``(status, y)``: the status of each lane (N,) and the states
+    (N, M, 3), nan past a lane's halt.
     """
-    n, n_t = ts.shape
+    n_t = ts.shape[1]
+    n = np.broadcast_shapes(np.shape(r0), np.shape(th0), np.shape(al0), ts.shape[:1])[0]
+    ts = np.broadcast_to(ts, (n, n_t))
     status = np.full(n, STATUS_OK)
     out_y = np.full((n, n_t, 3), np.nan)
     if n_t == 0:
         return status, out_y
     # the lanes still running: their indices, their states (t, r, theta,
     # alpha, h, and the RHS at the state, the next step's first stage), their
-    # next and last targets; every running lane has taken the same number of
+    # next targets; every running lane has taken the same number of
     # trial steps, one per pass of the loop
     lane = np.arange(n)
     s = np.empty((8, n))
     s[0], s[1], s[2], s[3], s[4] = 0.0, r0, th0, al0, H_START
     _lane_rhs(code, k, a, b, s[1:4], s[5:8])
     nxt = np.zeros(n, dtype=np.int64)
-    target, last = ts[:, 0].copy(), ts[:, -1]
+    target = ts[:, 0].copy()
     stop = np.full(n, -1)  # the status each lane stops with in this pass; -1 runs on
     steps = 0
     # count_nonzero tests a mask in a third of the time of any() or all()
@@ -465,17 +452,15 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
                 reached = run & ~(s[0] < target)
                 if not np.count_nonzero(reached):
                     break
-                fill = reached & ~(target < s[0])
-                out_y[lane[fill], nxt[fill]] = s[1:4, fill].T
-                nxt += fill
-                stop[reached & ~fill] = STATUS_STEP_COLLAPSE  # a descending target
+                out_y[lane[reached], nxt[reached]] = s[1:4, reached].T
+                nxt += reached
                 stop[nxt == n_t] = STATUS_OK
                 target = ts[lane, np.minimum(nxt, n_t - 1)]
             # the one retirement: record the statuses of the lanes that stop, drop them
             if np.count_nonzero(run) < lane.shape[0]:
                 status[lane[~run]] = stop[~run]
                 lane, s, nxt, stop = lane[run], s[:, run], nxt[run], stop[run]
-                target, last = target[run], last[run]
+                target = target[run]
             if lane.shape[0] < TAIL_LANES:
                 break
 
@@ -486,9 +471,9 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
             t, y, h, k1 = s[0], s[1:4], s[4], s[5:8]
             if n_t == 1:
                 h_try = np.minimum(h, target - t)
-            else:  # the landing rule of _advance
-                second = np.where(nxt < n_t - 1, ts[lane, np.minimum(nxt + 1, n_t - 1)], math.inf)
-                h_try = np.minimum(h, np.where(second - t <= h, last, target) - t)
+            else:  # the landing rule of _advance on the shared row
+                second = np.where(nxt < n_t - 1, ts[0, np.minimum(nxt + 1, n_t - 1)], math.inf)
+                h_try = np.minimum(h, np.where(second - t <= h, ts[0, -1], target) - t)
             y5, err, stages = _attempt_lanes(code, k, a, b, y, h_try, tol, k1)
             ok = ~(err > 1.0)
             floor = h < _H_FLOOR * np.maximum(1.0, np.abs(t))
@@ -497,14 +482,14 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
                 stop[floor] = _floor_halt(y[0, floor], dom_lo, dom_hi)
             t_new = t + h_try
             out_of_domain = (y5[0] <= dom_lo + BOUNDARY_PAD) | (y5[0] >= dom_hi - BOUNDARY_PAD)
-            if n_t > 1:  # targets inside an accepted step that does not halt
+            if n_t > 1:  # targets of the shared row inside an accepted step that does not halt
                 f = np.nonzero(ok & ~out_of_domain & (nxt < n_t - 1) & (target < t_new))[0]
                 if f.shape[0]:
                     terms = _dense_terms(y[:, f], y5[:, f], h_try[f], k1[:, f], *stages[1:, :, f])
                     nxt[f] = _fill_inside(
-                        ts, lane[f], nxt[f], t[f], h_try[f], t_new[f], y[:, f], terms, out_y
+                        ts[0], lane[f], nxt[f], t[f], h_try[f], t_new[f], y[:, f], terms, out_y
                     )
-                    target[f] = ts[lane[f], nxt[f]]
+                    target[f] = ts[0, nxt[f]]
             np.copyto(t, t_new, where=ok)
             np.copyto(y, y5, where=ok)
             np.copyto(k1, stages[-1], where=ok)

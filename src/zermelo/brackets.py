@@ -78,8 +78,8 @@ def classify(problem: ProblemDefinition, state: ExtendedState, tol: float = 1e-9
     The abnormality test is relative, scaled by ``1 + |mu| m``, because D''
     mixes an O(1) term with an O(|mu| m) one.
     """
-    if not tol > 0.0:
-        raise ValueError(f"classification tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"classification tolerance must be positive and finite, got {tol!r}")
     data = bracket_data(problem, state)
     scale = 1.0 + float(current_norm(problem, problem.radius_of(state.position)))
     if abs(data.Dsecond) <= tol * scale:

@@ -191,6 +191,8 @@ def cmd_cusp(args) -> int:
     problem = _parse_problem(args.problem)
     c1, c2, heading = _parse_floats(args.state, 3, "--state")
     state = ExtendedState(c1, c2, heading)
+    if args.t_max is not None and not 0.0 < args.t_max < math.inf:
+        raise ConfigError(f"--t-max must be positive and finite, got {args.t_max!r}")
     # CLI states arrive with few digits; accept almost-abnormal headings
     tol = args.tol if args.tol is not None else 1e-4
     try:

@@ -296,23 +296,27 @@ def endpoints(
 ) -> np.ndarray:
     """Positions reached from ``q0`` with initial ``headings`` at times ``ts``.
 
-    ``headings`` has shape (n,); ``ts`` broadcasts against (n, 1), so a 1-d
-    ``ts`` is one row of times shared by every heading, and each row must be
-    ascending.  Returns an (n, m, 2) array, nan where a trajectory halted
-    (left the domain) before the time asked for.  This is the one place that
-    picks the closed form (historical problem) or the numeric integrator.
+    ``headings`` has shape (n,); ``ts`` is one ascending row of times shared
+    by every heading, (m,) or (1, m), or one time per heading, (n, 1), and
+    any other shape or a descending row is a ``ValueError``.  Returns an
+    (n, m, 2) array, nan where a trajectory halted (left the domain) before
+    the time asked for.  This is the one place that picks the closed form
+    (historical problem) or the numeric integrator.
     """
     x0, y0 = float(q0[0]), float(q0[1])
     r0, th0, _ = problem.swap(x0, y0, 0.0)
     problem.check_domain(r0)
     headings = np.asarray(headings, dtype=float)
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
+    if ts.ndim != 2 or (ts.shape[0] != 1 and ts.shape != (headings.shape[0], 1)):
+        raise ValueError(f"times must be one shared row or one per heading, got shape {ts.shape}")
+    if np.any(np.diff(ts[:1]) < 0.0):
+        raise ValueError("the row of times must be ascending")
     if problem.family == "historical":
         if ts.shape[0] == 1:  # one row of times for all headings: the grid form
             return closedform.historical_positions(x0, y0, headings, ts[0])
         return closedform.historical_endpoints(x0, y0, headings[:, None], ts)
     # one call of the lane kernel; a lane's samples do not depend on its batch
-    ts = np.broadcast_to(ts, (headings.shape[0], ts.shape[1]))
     _, out = _kernels.rk45_lanes(
         problem.code, problem.k, problem.a, problem.b, r0, th0, problem.swap_heading(headings),
         ts, *_step_args(problem, control or StepControl()),

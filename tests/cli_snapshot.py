@@ -8,17 +8,18 @@ Each command runs as ``python -m zermelo.cli ... --out .`` in its own
 directory under ``OUTDIR``, and its stdout, stderr and exit code are saved
 there next to its output files.  A command still running after
 ``TIMEOUT_S`` seconds is stopped, and ``timeout`` is saved as its exit
-code.  The ``zermelo`` package is the one ``PYTHONPATH`` points at, so two
-checkouts compare byte for byte with one run each and ``diff -r``::
+code.  The ``zermelo`` package is the one ``PYTHONPATH`` points at (an
+absolute path: each command runs in its own directory), so two checkouts
+compare byte for byte with one run each and ``diff -r``::
 
-    PYTHONPATH=old/src python tests/cli_snapshot.py /tmp/old
-    PYTHONPATH=new/src python tests/cli_snapshot.py /tmp/new
+    PYTHONPATH=$PWD/old/src python tests/cli_snapshot.py /tmp/old
+    PYTHONPATH=$PWD/new/src python tests/cli_snapshot.py /tmp/new
     diff -r /tmp/old /tmp/new
 
 The commands are the seven README historical commands plus vortex and
 powerlaw commands that reach the numeric integrator, the numeric cusp
-search, shooting, value scans and the cut-locus estimate, and two that
-must fail with a config error.
+search, shooting, value scans and the cut-locus estimate, and four that
+must fail with a config error before they write anything.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ COMMANDS = [  # (directory name, problem, command and its arguments)
     ("historical-value-tol-nan", "historical",
      "value --q0 0,2 --segment 1.039,1.298:0.879,1.180 --n 200 --tol nan"),
     ("vortex-wavefront-t-inf", "vortex", "wavefront --q0 0.5,0 --t inf --n 8"),
+    ("historical-cusp-t-max-nan", "historical", "cusp --state 0,2,2.0944 --t-max nan"),
+    ("historical-classify-tol-inf", "historical", "classify --state 0,0.5,1 --tol inf"),
 ]
 
 

@@ -62,6 +62,19 @@ def test_cusp_not_abnormal_is_config_error(capsys):
     assert "abnormal" in err
 
 
+@pytest.mark.parametrize("t_max", ["nan", "0", "-1"])
+def test_cusp_t_max_is_checked_before_any_output(tmp_path, capsys, t_max):
+    code, out, err = run_cli(
+        ["cusp", "--problem", "historical", "--state", "0,2,2.0944", "--t-max", t_max,
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "--t-max" in err and "finite" in err
+    assert out == ""
+    assert not (tmp_path / "cusp.json").exists()
+
+
 def test_integrate_files(tmp_path, capsys):
     code, _, _ = run_cli(
         [
@@ -191,9 +204,12 @@ def test_synthesis_weak_start_rejected(capsys):
         ("vortex", ["integrate", "--state", "0.5,0,1.1", "--t", "inf"], "--t"),
         ("vortex", ["synthesis", "--q0", "0.5,0", "--t-max", "inf"], "t_max"),
         ("historical", ["synthesis", "--q0", "0,2", "--t-max", "inf"], "t_max"),
+        # a weak-current state, which an infinite tolerance would tag abnormal
+        ("historical", ["classify", "--state", "0,0.5,1", "--tol", "inf"], "tolerance"),
+        ("historical", ["cusp", "--state", "0,0.5,1", "--tol", "inf"], "tolerance"),
     ],
     ids=["value-tol-nan", "wavefront-t-inf", "integrate-t-inf", "vortex-synthesis-t-max-inf",
-         "historical-synthesis-t-max-inf"],
+         "historical-synthesis-t-max-inf", "classify-tol-inf", "cusp-tol-inf"],
 )
 def test_non_finite_values_are_config_errors(tmp_path, capsys, problem, args, name):
     code, _, err = run_cli([*args, "--problem", problem, "--out", str(tmp_path)], capsys)

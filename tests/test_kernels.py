@@ -6,7 +6,8 @@ The lane kernel must give every lane what the scalar sampler gives it
 alone: the same statuses and halts, the same nan rows, and the same
 numbers.  Its numpy step and the scalar step must agree bit for bit,
 because where a lane passes from one to the other depends on its batch.
-Rows of several times read the times inside a step from the continuous
+Its lanes share one ascending row of times or take one time each; a row
+of several times reads the times inside a step from the continuous
 extension, which must stay close to a tight-tolerance reference.
 """
 
@@ -17,7 +18,7 @@ import pytest
 
 from zermelo import _kernels, make_historical, make_powerlaw, make_vortex
 from zermelo._kernels import BOUNDARY_PAD, MAX_STEPS
-from zermelo.flow import StepControl
+from zermelo.flow import StepControl, endpoints
 from zermelo.reachability import COARSE_CONTROL
 
 TOL = StepControl().tol
@@ -109,6 +110,7 @@ def test_domain_exit_status():
 
 def _one_by_one(problem, r0, th0, alphas, ts, tol=TOL):
     """The scalar sampler, one lane at a time: the reference for the lane kernel."""
+    ts = np.broadcast_to(ts, (len(alphas), ts.shape[1]))
     out = np.empty(ts.shape + (3,))
     status = np.empty(ts.shape[0], dtype=int)
     for i in range(ts.shape[0]):
@@ -129,24 +131,17 @@ def _headings(n):
     return np.linspace(-math.pi, math.pi, n, endpoint=False) + 0.01
 
 
-def _edge_times(n):
-    """Rows cycling through a t = 0 column, repeated times and descending times."""
-    rows = [
-        [0.0, 0.0, 0.1, 0.1, 0.3],
-        [0.0, 0.05, 0.05, 0.05, 0.2],
-        [0.2, 0.1, 0.3, 0.4, 0.5],  # descending: a step collapse after the first sample
-        [0.1, 0.2, 0.3, 0.4, 0.45],
-    ]
-    return np.array([rows[i % len(rows)] for i in range(n)])
+# a shared row with a t = 0 column and repeated times, inside steps and landed on
+_EDGE_TIMES = np.array([[0.0, 0.0, 0.05, 0.05, 0.05, 0.1, 0.1, 0.2, 0.3]])
 
-
-_TIMES = np.broadcast_to(np.linspace(0.0, 0.5, 6), (40, 6))
+_TIMES = np.linspace(0.0, 0.5, 6)[None, :]
 
 LANE_CASES = {
-    # name: problem, canonical start (r0, th0), headings, times, MAX_STEPS, tol
+    # name: problem, canonical start (r0, th0), headings, times (one shared
+    # row, or one time per lane), MAX_STEPS, tol
     "vortex-grid": (
-        make_vortex(1.0), (0.5, 0.0), _headings(48),
-        np.broadcast_to(np.linspace(0.0, 0.5, 24), (48, 24)), MAX_STEPS, TOL,
+        make_vortex(1.0), (0.5, 0.0), _headings(48), np.linspace(0.0, 0.5, 24)[None, :],
+        MAX_STEPS, TOL,
     ),
     "vortex-newton": (
         make_vortex(1.0), (0.5, 0.3), _headings(40),
@@ -154,25 +149,26 @@ LANE_CASES = {
     ),
     "powerlaw": (
         make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0), _headings(48),
-        np.broadcast_to(np.linspace(0.0, 0.6, 16), (48, 16)), MAX_STEPS, TOL,
+        np.linspace(0.0, 0.6, 16)[None, :], MAX_STEPS, TOL,
     ),
     "historical": (
-        make_historical(), (2.0, 0.0), _headings(32),
-        np.broadcast_to(np.linspace(0.0, 1.0, 12), (32, 12)), MAX_STEPS, TOL,
+        make_historical(), (2.0, 0.0), _headings(32), np.linspace(0.0, 1.0, 12)[None, :],
+        MAX_STEPS, TOL,
     ),
-    "edge-times": (make_vortex(1.0), (0.5, 0.0), _headings(40), _edge_times(40), MAX_STEPS, TOL),
+    "edge-times": (make_vortex(1.0), (0.5, 0.0), _headings(40), _EDGE_TIMES, MAX_STEPS, TOL),
     # shooting-grid rows: 160 shared times at the coarse control, so most
     # steps hold several times and fill them from the continuous extension
     "vortex-grid-coarse": (
-        make_vortex(1.0), (0.5, 0.0), _headings(48),
-        np.broadcast_to(np.linspace(0.0, 0.5, 160), (48, 160)), MAX_STEPS, COARSE,
+        make_vortex(1.0), (0.5, 0.0), _headings(48), np.linspace(0.0, 0.5, 160)[None, :],
+        MAX_STEPS, COARSE,
     ),
     "powerlaw-grid-coarse": (
         make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0), _headings(48),
-        np.broadcast_to(np.linspace(0.0, 0.6, 160), (48, 160)), MAX_STEPS, COARSE,
+        np.linspace(0.0, 0.6, 160)[None, :], MAX_STEPS, COARSE,
     ),
-    # reaches its step limit in the scalar stepper, after the numpy loop
-    "max-steps": (make_vortex(1.0), (0.5, 0.0), _headings(40), _edge_times(40), 40, TOL),
+    # the numpy loop hands 14 lanes to the scalar stepper after 41 trial
+    # steps, and some of them reach their step limit there
+    "max-steps": (make_vortex(1.0), (0.5, 0.0), _headings(40), _EDGE_TIMES, 50, TOL),
     # every lane reaches its step limit in the numpy loop
     "max-steps-in-loop": (make_vortex(1.0), (0.5, 0.0), _headings(40), _TIMES, 5, TOL),
     # at tol 1e-30 the step size falls below its floor in the numpy loop,
@@ -184,7 +180,7 @@ LANE_CASES = {
 EXPECTED_STATUSES = {
     "powerlaw": {_kernels.STATUS_DOMAIN_EXIT, _kernels.STATUS_OK},
     "powerlaw-grid-coarse": {_kernels.STATUS_DOMAIN_EXIT, _kernels.STATUS_OK},
-    "edge-times": {_kernels.STATUS_STEP_COLLAPSE, _kernels.STATUS_OK},
+    "edge-times": {_kernels.STATUS_OK},
     "max-steps": {_kernels.STATUS_MAX_STEPS, _kernels.STATUS_OK},
     "max-steps-in-loop": {_kernels.STATUS_MAX_STEPS},
     "floor-at-boundary": {_kernels.STATUS_DOMAIN_EXIT},
@@ -196,7 +192,8 @@ EXPECTED_STATUSES = {
 def test_lane_kernel_matches_scalar_sampler(case, monkeypatch):
     problem, (r0, th0), alphas, ts, max_steps, tol = LANE_CASES[case]
     monkeypatch.setattr(_kernels, "MAX_STEPS", max_steps)
-    assert ts.shape[0] > _kernels.TAIL_LANES  # the numpy loop runs
+    assert ts.shape[0] == 1 or ts.shape == (alphas.shape[0], 1)
+    assert alphas.shape[0] > _kernels.TAIL_LANES  # the numpy loop runs
     ref, ref_status = _one_by_one(problem, r0, th0, alphas, ts, tol)
     out, status = _all_at_once(problem, r0, th0, alphas, ts, tol)
     assert status.tolist() == ref_status.tolist()
@@ -279,27 +276,28 @@ def test_rhs_once_at_start_and_at_most_six_per_trial_step(monkeypatch, sampler):
     assert calls["rhs"] <= 1 + 6 * calls["trial"]
 
 
-@pytest.mark.parametrize("n_batch", [_kernels.TAIL_LANES - 1, 4 * _kernels.TAIL_LANES + 3])
+@pytest.mark.parametrize(
+    "n_batch", [_kernels.TAIL_LANES - 1, _kernels.TAIL_LANES + 1, 4 * _kernels.TAIL_LANES + 3]
+)
 def test_lane_row_does_not_depend_on_its_batch(n_batch):
-    # the probe lane alone runs in the scalar stepper only; in the larger batch
-    # it starts in the numpy loop and passes to the scalar stepper when the
-    # lanes around it have finished or halted
+    # the batch shares the probe's row, and a third of it, with headings in
+    # [-pi, -1.5], leaves the domain before t = 0.55.  The probe lane alone
+    # runs in the scalar stepper only; in the batch of TAIL_LANES + 1 it
+    # starts in the numpy loop and passes to the scalar stepper when two
+    # lanes have stopped; in the largest batch it finishes in the numpy loop
     problem = make_powerlaw(1.0, -3.0, 1.0)
     r0, th0 = 0.5, 0.0
-    probe_alpha, probe_ts = 0.9, np.array([0.0, 0.1, 0.25, 0.3, 0.55])
-    alone, alone_status = _all_at_once(problem, r0, th0, [probe_alpha], probe_ts[None, :])
+    probe_alpha, probe_ts = 0.9, np.array([[0.0, 0.1, 0.25, 0.3, 0.55]])
+    alone, alone_status = _all_at_once(problem, r0, th0, [probe_alpha], probe_ts)
 
     rng = np.random.default_rng(n_batch)
     alphas = rng.uniform(-math.pi, math.pi, n_batch)
-    alphas[: n_batch // 3] = math.pi - 0.05  # heading inward: these lanes leave the domain
-    ts = np.sort(rng.uniform(0.0, 0.6, (n_batch, probe_ts.shape[0])), axis=1)
-    ts[1] = ts[1, ::-1]  # descending times: a step collapse
+    alphas[: n_batch // 3] = rng.uniform(-math.pi, -1.5, n_batch // 3)
     where = n_batch // 2
-    alphas[where], ts[where] = probe_alpha, probe_ts
-    out, status = _all_at_once(problem, r0, th0, alphas, ts)
+    alphas[where] = probe_alpha
+    out, status = _all_at_once(problem, r0, th0, alphas, probe_ts)
 
-    assert _kernels.STATUS_DOMAIN_EXIT in status.tolist()
-    assert _kernels.STATUS_STEP_COLLAPSE in status.tolist()
+    assert set(status[: n_batch // 3].tolist()) == {_kernels.STATUS_DOMAIN_EXIT}
     assert status[where] == alone_status[0] == _kernels.STATUS_OK
     assert np.array_equal(out[where], alone[0])
 
@@ -307,27 +305,41 @@ def test_lane_row_does_not_depend_on_its_batch(n_batch):
 def test_targets_inside_steps_do_not_move_the_steps():
     # two targets inside every step the single-target row [T] takes: each of
     # its trial steps holds both, so the row takes those steps whole and lands
-    # on T with the same bits as [T]
+    # on T with the same bits as [T].  Each heading's row is shared by
+    # 2 * TAIL_LANES copies of it, so the numpy loop fills the row
     problem, (r0, th0), t_end = make_vortex(1.0), (0.5, 0.0), 0.5
-    alphas = _headings(2 * _kernels.TAIL_LANES)
-    rows = []
-    for al in alphas:
+    for al in _headings(4).tolist():
         _, status, t, _ = _kernels.rk45_trajectory(
-            *_head(problem), r0, th0, float(al), t_end, COARSE, *problem.domain
+            *_head(problem), r0, th0, al, t_end, COARSE, *problem.domain
         )
         assert status == _kernels.STATUS_OK
-        rows.append((t[:-1, None] + np.array([0.25, 0.5]) * np.diff(t)[:, None]).ravel())
-    width = max(row.shape[0] for row in rows) + 1
-    ts = np.array([np.pad(row, (0, width - row.shape[0]), constant_values=t_end) for row in rows])
-    dense, status = _all_at_once(problem, r0, th0, alphas, ts, COARSE)
-    single, _ = _all_at_once(problem, r0, th0, alphas, np.full((alphas.shape[0], 1), t_end), COARSE)
-    assert set(status.tolist()) == {_kernels.STATUS_OK}
-    assert np.array_equal(dense[:, -1], single[:, 0])
-    for i in range(4):  # the scalar sampler alike
-        _, _, alone = _kernels.rk45_at_times(
-            *_head(problem), r0, th0, float(alphas[i]), ts[i], COARSE, *problem.domain
+        row = np.append((t[:-1, None] + np.array([0.25, 0.5]) * np.diff(t)[:, None]).ravel(), t_end)
+        alphas = np.full(2 * _kernels.TAIL_LANES, al)
+        dense, status = _all_at_once(problem, r0, th0, alphas, row[None, :], COARSE)
+        single, _ = _all_at_once(
+            problem, r0, th0, alphas, np.full((alphas.shape[0], 1), t_end), COARSE
         )
-        assert np.array_equal(alone[-1], single[i, 0])
+        assert set(status.tolist()) == {_kernels.STATUS_OK}
+        assert np.array_equal(dense[:, -1], single[:, 0])
+        _, _, alone = _kernels.rk45_at_times(  # the scalar sampler alike
+            *_head(problem), r0, th0, al, row, COARSE, *problem.domain
+        )
+        assert np.array_equal(alone[-1], single[0, 0])
+
+
+@pytest.mark.parametrize(
+    "problem, q0",
+    [(make_historical(), (0.0, 2.0)), (make_vortex(1.0), (0.5, 0.0))],
+    ids=["historical", "vortex"],
+)
+def test_endpoints_take_one_shared_ascending_row_or_one_time_per_heading(problem, q0):
+    headings = _headings(3)
+    assert endpoints(problem, q0, headings, [0.0, 0.1, 0.1]).shape == (3, 3, 2)
+    assert endpoints(problem, q0, headings, [[0.3], [0.1], [0.2]]).shape == (3, 1, 2)
+    with pytest.raises(ValueError, match="ascending"):
+        endpoints(problem, q0, headings, [0.0, 0.2, 0.1])
+    with pytest.raises(ValueError, match="shape"):  # a row of its own for each heading
+        endpoints(problem, q0, headings, np.tile([0.0, 0.1], (3, 1)))
 
 
 def test_lane_step_evaluates_the_rhs_six_times(monkeypatch):
@@ -372,7 +384,7 @@ DENSE_ERROR_BOUND = 60.0
 )
 def test_dense_rows_agree_with_a_tight_reference(problem, start, t_end, tol):
     alphas = _headings(48)
-    ts = np.broadcast_to(np.linspace(0.0, t_end, 160), (48, 160))
+    ts = np.linspace(0.0, t_end, 160)[None, :]
     out, _ = _all_at_once(problem, *start, alphas, ts, tol)
     ref, _ = _all_at_once(problem, *start, alphas, ts, 1e-13)
     assert np.array_equal(np.isnan(out), np.isnan(ref))
