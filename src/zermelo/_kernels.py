@@ -3,7 +3,7 @@
 The hot inner loops live here: the right-hand side of the canonical
 ``(r, theta, alpha)`` dynamics and one Dormand-Prince 5(4) adaptive step,
 driven three ways.  The scalar stepper runs one lane, storing every accepted
-step (``rk45_trajectory``) or sampling at caller-given times
+step (``rk45_trajectory``) or landing on each of a row of times in turn
 (``rk45_at_times``); both take their trial steps through one step policy,
 ``_advance``.  The scalar step is "first same as last" (FSAL; Dormand &
 Prince, J. Comput. Appl. Math. 6, 1980): the RHS at an accepted step's end
@@ -19,21 +19,22 @@ columns of one (8, N) array, beside their indices and targets: the lane
 step is FSAL too, so a pass makes 6 RHS evaluations.  Each pass records
 the status of every lane that stops (all targets filled, a step size below
 the floor, ``MAX_STEPS`` passed, a domain exit), and one statement drops
-them.  Both steppers name a floor halt by ``_floor_halt``.
-When fewer than ``TAIL_LANES`` lanes remain, each one finishes in the
-scalar stepper, resumed from its column.  The right-hand side reads the
-family profiles from ``problems.profile_table``.
+them.  Both steppers name a floor halt by ``_floor_halt``.  A shared row
+runs in the numpy loop until every lane stops; lanes of one time each
+finish in the scalar stepper once fewer than ``TAIL_LANES`` run.  The
+right-hand side reads the family profiles from ``problems.profile_table``.
 
-A row of sample times does not force a step end at each.  Both samplers
-decide every trial step, a rejected one's retry included, by one landing
-rule: a step that would hold two or more of the row's remaining times is
-taken whole, or lands on the row's last time if it would hold that; a step
-that would hold one time lands on it.  The times strictly inside an
-accepted step are read from the Dormand-Prince continuous extension
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), which the scalar and
-the numpy step build from the accepted step's own stages, with no further
-RHS evaluation.  A row of one time never fills, so it takes the steps it
-takes alone, and the times of a step that halts stay nan.
+The scalar stepper lands on every time it is given.  Only the lane kernel
+steps past the times of a shared row, by one landing rule for every trial
+step, a rejected one's retry included: a step that would hold two or more
+of the row's remaining times is taken whole, or lands on the row's last
+time if it would hold that; a step that would hold one time lands on it.
+The times strictly inside an accepted step are read from the
+Dormand-Prince continuous extension (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.6), built from the accepted step's own stages, with no further
+RHS evaluation.  A lane with one time never fills, so it takes the steps
+the scalar stepper gives it alone, and the times of a step that halts stay
+nan.
 
 Each driver takes one tolerance ``tol``, relative and absolute alike, and
 the domain ``(dom_lo, dom_hi)``, and returns the samples it allocates.  The
@@ -115,7 +116,7 @@ BOUNDARY_PAD = 1e-6
 
 # a numpy step of the lane kernel costs about as much as 16 scalar steps
 # (about 200 us against 13 us on a 2-vCPU x86 VM), so below this many
-# running lanes the scalar stepper finishes the batch
+# running lanes the scalar stepper finishes a batch of one-time lanes
 TAIL_LANES = 16
 
 
@@ -137,39 +138,28 @@ def _floor_halt(r, dom_lo, dom_hi):
 def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
     """One trial Dormand-Prince step from ``(r, th, al)``, where the RHS is ``k1``.
 
-    Returns ``(r5, th5, al5, err, k7, k3, k4, k5, k6)``: ``k7`` is the RHS
-    at the 5th-order state, the next step's ``k1`` if this one is accepted,
-    and ``k3`` ... ``k6`` are the inner stages the continuous extension
-    reads, each an ``(r, theta, alpha)`` tuple.  Where the trial state is
-    not finite, ``err`` is inf and the stages are ``None``.
+    Returns ``(r5, th5, al5, err, k7)``: ``k7`` is the RHS at the 5th-order
+    state, the next step's ``k1`` if this one is accepted.  Where the trial
+    state is not finite, ``err`` is inf and ``k7`` is ``None``.
     """
     k1r, k1t, k1a = k1
 
     k2r, k2t, k2a = rhs(code, k, a, b, r + h * _A21 * k1r, al + h * _A21 * k1a)
-    k3 = k3r, k3t, k3a = rhs(
+    k3r, k3t, k3a = rhs(
         code, k, a, b, r + h * (_A31 * k1r + _A32 * k2r), al + h * (_A31 * k1a + _A32 * k2a)
     )
-    k4 = k4r, k4t, k4a = rhs(
-        code,
-        k,
-        a,
-        b,
+    k4r, k4t, k4a = rhs(
+        code, k, a, b,
         r + h * (_A41 * k1r + _A42 * k2r + _A43 * k3r),
         al + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
     )
-    k5 = k5r, k5t, k5a = rhs(
-        code,
-        k,
-        a,
-        b,
+    k5r, k5t, k5a = rhs(
+        code, k, a, b,
         r + h * (_A51 * k1r + _A52 * k2r + _A53 * k3r + _A54 * k4r),
         al + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
     )
-    k6 = k6r, k6t, k6a = rhs(
-        code,
-        k,
-        a,
-        b,
+    k6r, k6t, k6a = rhs(
+        code, k, a, b,
         r + h * (_A61 * k1r + _A62 * k2r + _A63 * k3r + _A64 * k4r + _A65 * k5r),
         al + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
     )
@@ -179,7 +169,7 @@ def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
     al5 = al + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
 
     if not (math.isfinite(r5) and math.isfinite(th5) and math.isfinite(al5)):
-        return r5, th5, al5, math.inf, None, None, None, None, None
+        return r5, th5, al5, math.inf, None
 
     k7 = rhs(code, k, a, b, r5, al5)
     k7r, k7t, k7a = k7
@@ -194,7 +184,7 @@ def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
     err = math.sqrt(((er / sr) ** 2 + (et / st) ** 2 + (ea / sa) ** 2) / 3.0)
     if not math.isfinite(err):
         err = math.inf
-    return r5, th5, al5, err, k7, k3, k4, k5, k6
+    return r5, th5, al5, err, k7
 
 
 def _new_h(h_try, err):
@@ -212,41 +202,43 @@ def _new_h(h_try, err):
     return min(h_try * factor, MAX_STEP)
 
 
-def _advance(
-    code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1,
-    second=math.inf, last=math.inf,
-):
+def _advance(code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1):
     """Trial steps from time ``t`` toward ``target`` until one is accepted or the lane halts.
 
-    ``k1`` is the RHS at ``(r, al)``.  A row's next targets after ``target``
-    are ``second`` and ``last`` (its final one), inf where there are none.
-    Each trial step of length ``h`` lands on ``target``, unless it would
-    hold ``second`` as well: then it is taken whole, or lands on ``last`` if
-    it would hold that.  Returns ``(t, r, th, al, h, steps, status, k1,
-    h_try, inner)``: ``steps`` counts the lane's trial steps against
+    ``k1`` is the RHS at ``(r, al)``.  Each trial step of length ``h``
+    lands on ``target`` if it would pass it.  Returns ``(t, r, th, al, h,
+    steps, status, k1)``: ``steps`` counts the lane's trial steps against
     ``MAX_STEPS``, the status is ``STATUS_DOMAIN_EXIT`` if the accepted
-    radius is within ``BOUNDARY_PAD`` of the domain boundary, ``k1`` is the
-    RHS at the returned state, ``h_try`` the accepted step's length and
-    ``inner`` its stages ``(k3, k4, k5, k6)``.  A halt before any step is
-    accepted returns the state it was given, and no stages.
+    radius is within ``BOUNDARY_PAD`` of the domain boundary, and ``k1`` is
+    the RHS at the returned state.  A halt before any step is accepted
+    returns the state it was given.
     """
     while True:
         steps += 1
         if steps > MAX_STEPS:
-            return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1, 0.0, None
+            return t, r, th, al, h, steps, STATUS_MAX_STEPS, k1
         if h < _H_FLOOR * max(1.0, abs(t)):
-            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1, 0.0, None
-        h_try = min(h, (last if second - t <= h else target) - t)
-        r5, th5, al5, err, k7, k3, k4, k5, k6 = _attempt_step(
-            code, k, a, b, r, th, al, h_try, tol, k1
-        )
+            return t, r, th, al, h, steps, int(_floor_halt(r, dom_lo, dom_hi)), k1
+        h_try = min(h, target - t)
+        r5, th5, al5, err, k7 = _attempt_step(code, k, a, b, r, th, al, h_try, tol, k1)
         h = _new_h(h_try, err)
         if err <= 1.0:
             break
-    inner = k3, k4, k5, k6
     if r5 <= dom_lo + BOUNDARY_PAD or r5 >= dom_hi - BOUNDARY_PAD:
-        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7, h_try, inner
-    return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7, h_try, inner
+        return t + h_try, r5, th5, al5, h, steps, STATUS_DOMAIN_EXIT, k7
+    return t + h_try, r5, th5, al5, h, steps, STATUS_OK, k7
+
+
+def _land_on(code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1):
+    """:func:`_advance` until the lane reaches ``target`` or halts, with the
+    same arguments and returns; a lane already at or past ``target`` is
+    returned as it was given."""
+    status = STATUS_OK
+    while t < target and status == STATUS_OK:
+        t, r, th, al, h, steps, status, k1 = _advance(
+            code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1
+        )
+    return t, r, th, al, h, steps, status, k1
 
 
 def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, stop_at_turn=False):
@@ -268,7 +260,7 @@ def rk45_trajectory(code, k, a, b, r0, th0, al0, t_final, tol, dom_lo, dom_hi, s
     steps = 0
     status = STATUS_OK
     while t < t_final:
-        t_new, r, th, al, h, steps, status, k1, _, _ = _advance(
+        t_new, r, th, al, h, steps, status, k1 = _advance(
             code, k, a, b, t, r, th, al, h, steps, t_final, tol, dom_lo, dom_hi, k1
         )
         if t_new > t:  # a step was accepted; a halt leaves t where it was
@@ -287,51 +279,21 @@ def rk45_at_times(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
 
     Returns ``(n_filled, status, y)``: ``y`` (len(ts), 3) holds the state at
     each time, nan in the rows past a premature halt.  A step lands on each
-    time it alone would hold and on the last time; the times inside a step
-    that would hold two or more are read from the continuous extension.
-    Nothing here checks that ``ts`` ascends; :func:`zermelo.flow.endpoints`
-    rejects a row that does not.
+    time in turn.  Nothing here checks that ``ts`` ascends;
+    :func:`zermelo.flow.endpoints` rejects a row that does not.
     """
     y = np.full((ts.shape[0], 3), np.nan)
-    n_filled, status = _resume_at_times(
-        code, k, a, b, 0.0, r0, th0, al0, H_START, 0, 0, ts, tol, dom_lo, dom_hi, y
-    )
-    return n_filled, status, y
-
-
-def _resume_at_times(code, k, a, b, t, r, th, al, h, steps, first, ts, tol, dom_lo, dom_hi, out_y):
-    """:func:`rk45_at_times` resumed at time ``t`` with step ``h``, ``steps``
-    trial steps taken and the rows before ``first`` already filled; writes
-    the rows of ``out_y`` and returns ``(n_filled, status)``."""
-    ts = ts.tolist()  # Python floats: a numpy scalar's ``**`` is not the C library's
-    last = len(ts) - 1
+    t, r, th, al, h, steps = 0.0, r0, th0, al0, H_START, 0
     k1 = rhs(code, k, a, b, r, al)
-    i = first
-    while i <= last:
-        target = ts[i]
-        if not t < target:  # reached
-            out_y[i] = r, th, al
-            i += 1
-            continue
-        second = ts[i + 1] if i < last else math.inf
-        t0, y0, k1_0 = t, (r, th, al), k1
-        t, r, th, al, h, steps, status, k1, h_try, inner = _advance(
-            code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1, second, ts[last]
+    # Python floats: a numpy scalar's ``**`` is not the C library's
+    for i, target in enumerate(ts.tolist()):
+        t, r, th, al, h, steps, status, k1 = _land_on(
+            code, k, a, b, t, r, th, al, h, steps, target, tol, dom_lo, dom_hi, k1
         )
         if status != STATUS_OK:
-            return i, status
-        if i < last and target < t:  # targets inside the step: the continuous extension
-            k3, k4, k5, k6 = inner
-            y5 = r, th, al
-            terms = [
-                _dense_terms(y0[c], y5[c], h_try, k1_0[c], k3[c], k4[c], k5[c], k6[c], k1[c])
-                for c in range(3)
-            ]
-            while i < last and ts[i] < t:
-                theta = (ts[i] - t0) / h_try
-                out_y[i] = [_dense(c0, c, theta) for c0, c in zip(y0, terms)]
-                i += 1
-    return len(ts), STATUS_OK
+            return i, status, y
+        y[i] = r, th, al
+    return ts.shape[0], STATUS_OK, y
 
 
 def _dense_terms(y0, y5, h, k1, k3, k4, k5, k6, k7):
@@ -403,8 +365,8 @@ def _fill_inside(row, rows, nxt, t0, h, t_new, y0, terms, out_y):
     their continuous extensions; returns each lane's next target index.
 
     Each lane fills the times of the shared ascending ``row`` from ``nxt``
-    on that lie before ``t_new`` and are not the row's last, as
-    :func:`_resume_at_times` does; one search finds where each lane stops.
+    on that lie before ``t_new`` and are not the row's last; one search
+    finds where each lane stops.
     """
     end = np.minimum(np.searchsorted(row, t_new), row.shape[0] - 1)
     count = end - nxt
@@ -416,14 +378,16 @@ def _fill_inside(row, rows, nxt, t0, h, t_new, y0, terms, out_y):
 
 
 def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
-    """:func:`rk45_at_times` on N lanes at once.
+    """N lanes sampled at once.
 
     Lane ``i`` starts at ``(r0, th0, al0)`` (each a scalar or an (N,) array)
     and samples the times ``ts``: one ascending row shared by every lane,
-    (1, M), or one time per lane, (N, 1).  Each lane takes the steps, and
-    fills the rows, that :func:`rk45_at_times` gives it alone, bit for bit.
-    Returns ``(status, y)``: the status of each lane (N,) and the states
-    (N, M, 3), nan past a lane's halt.
+    (1, M), or one time per lane, (N, 1).  A lane's samples do not depend
+    on its batch: a lane of one time takes the steps :func:`rk45_at_times`
+    gives it alone, bit for bit, and a lane of a shared row takes the steps
+    of the landing rule and fills the times inside them from the continuous
+    extension.  Returns ``(status, y)``: the status of each lane (N,) and
+    the states (N, M, 3), nan past a lane's halt.
     """
     n_t = ts.shape[1]
     n = np.broadcast_shapes(np.shape(r0), np.shape(th0), np.shape(al0), ts.shape[:1])[0]
@@ -461,7 +425,7 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
                 status[lane[~run]] = stop[~run]
                 lane, s, nxt, stop = lane[run], s[:, run], nxt[run], stop[run]
                 target = target[run]
-            if lane.shape[0] < TAIL_LANES:
+            if not lane.shape[0] or (n_t == 1 and lane.shape[0] < TAIL_LANES):
                 break
 
             steps += 1
@@ -471,7 +435,7 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
             t, y, h, k1 = s[0], s[1:4], s[4], s[5:8]
             if n_t == 1:
                 h_try = np.minimum(h, target - t)
-            else:  # the landing rule of _advance on the shared row
+            else:  # the landing rule of the shared row
                 second = np.where(nxt < n_t - 1, ts[0, np.minimum(nxt + 1, n_t - 1)], math.inf)
                 h_try = np.minimum(h, np.where(second - t <= h, ts[0, -1], target) - t)
             y5, err, stages = _attempt_lanes(code, k, a, b, y, h_try, tol, k1)
@@ -499,9 +463,12 @@ def rk45_lanes(code, k, a, b, r0, th0, al0, ts, tol, dom_lo, dom_hi):
             np.minimum(h_try * factor, MAX_STEP, out=h)
             stop[ok & out_of_domain] = STATUS_DOMAIN_EXIT
 
-    for j, i in enumerate(lane.tolist()):  # the last few lanes, each in the scalar stepper
-        status[i] = _resume_at_times(
-            code, k, a, b, *s[:5, j].tolist(), steps, int(nxt[j]), ts[i],
-            tol, dom_lo, dom_hi, out_y[i],
-        )[1]
+    # the last few one-time lanes, each in the scalar stepper
+    for i, column, t_end in zip(lane.tolist(), s.T.tolist(), target.tolist()):
+        t, r, th, al, h, *k1 = column
+        _, r, th, al, _, _, status[i], _ = _land_on(
+            code, k, a, b, t, r, th, al, h, steps, t_end, tol, dom_lo, dom_hi, k1
+        )
+        if status[i] == STATUS_OK:
+            out_y[i, 0] = r, th, al
     return status, out_y

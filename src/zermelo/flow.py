@@ -297,11 +297,12 @@ def endpoints(
     """Positions reached from ``q0`` with initial ``headings`` at times ``ts``.
 
     ``headings`` has shape (n,); ``ts`` is one ascending row of times shared
-    by every heading, (m,) or (1, m), or one time per heading, (n, 1), and
-    any other shape or a descending row is a ``ValueError``.  Returns an
-    (n, m, 2) array, nan where a trajectory halted (left the domain) before
-    the time asked for.  This is the one place that picks the closed form
-    (historical problem) or the numeric integrator.
+    by every heading, (m,) or (1, m), or one time per heading, (n, 1); any
+    other shape, a descending row, or a time that is nan, infinite or
+    negative is a ``ValueError``.  Returns an (n, m, 2) array, nan where a
+    trajectory halted (left the domain) before the time asked for.  This is
+    the one place that picks the closed form (historical problem) or the
+    numeric integrator.
     """
     x0, y0 = float(q0[0]), float(q0[1])
     r0, th0, _ = problem.swap(x0, y0, 0.0)
@@ -310,6 +311,8 @@ def endpoints(
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     if ts.ndim != 2 or (ts.shape[0] != 1 and ts.shape != (headings.shape[0], 1)):
         raise ValueError(f"times must be one shared row or one per heading, got shape {ts.shape}")
+    if not np.all((ts >= 0.0) & (ts < math.inf)):  # nan fails too
+        raise ValueError("times must be finite and non-negative")
     if np.any(np.diff(ts[:1]) < 0.0):
         raise ValueError("the row of times must be ascending")
     if problem.family == "historical":

@@ -19,7 +19,8 @@ compare byte for byte with one run each and ``diff -r``::
 The commands are the seven README historical commands plus vortex and
 powerlaw commands that reach the numeric integrator, the numeric cusp
 search, shooting, value scans and the cut-locus estimate, and four that
-must fail with a config error before they write anything.
+must fail with a config error before they write anything.  New commands go
+at the end, so the numbered directories of the old ones keep their names.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ COMMANDS = [  # (directory name, problem, command and its arguments)
     ("vortex-wavefront-t-inf", "vortex", "wavefront --q0 0.5,0 --t inf --n 8"),
     ("historical-cusp-t-max-nan", "historical", "cusp --state 0,2,2.0944 --t-max nan"),
     ("historical-classify-tol-inf", "historical", "classify --state 0,0.5,1 --tol inf"),
+    # a front of fewer lanes than the lane kernel's TAIL_LANES: all in the scalar stepper
+    ("vortex-wavefront-12", "vortex", "wavefront --q0 0.5,0 --t 0.3 --n 12"),
 ]
 
 

@@ -1,14 +1,16 @@
 """The scalar stepper and the lane kernel.
 
-The scalar stepper stores every accepted step or samples at given times,
-through one step policy; both must reach the same state at the same time.
-The lane kernel must give every lane what the scalar sampler gives it
-alone: the same statuses and halts, the same nan rows, and the same
-numbers.  Its numpy step and the scalar step must agree bit for bit,
-because where a lane passes from one to the other depends on its batch.
-Its lanes share one ascending row of times or take one time each; a row
-of several times reads the times inside a step from the continuous
-extension, which must stay close to a tight-tolerance reference.
+The scalar stepper stores every accepted step or lands on each of a row of
+times, through one step policy; both must reach the same state at the same
+time.  The lane kernel must give every lane what it gets alone: the same
+statuses and halts, the same nan rows, and the same numbers.  Its lanes
+share one ascending row of times or take one time each.  The landing rule
+and the continuous extension belong to the lane kernel alone: a shared row
+runs in its numpy loop until every lane stops, reads the times inside a
+step from the continuous extension, and must stay close to a
+tight-tolerance reference.  Only lanes of one time reach the scalar
+stepper, once few of them run, so for them the numpy step and the scalar
+step must agree bit for bit.
 """
 
 import math
@@ -109,14 +111,19 @@ def test_domain_exit_status():
 
 
 def _one_by_one(problem, r0, th0, alphas, ts, tol=TOL):
-    """The scalar sampler, one lane at a time: the reference for the lane kernel."""
-    ts = np.broadcast_to(ts, (len(alphas), ts.shape[1]))
-    out = np.empty(ts.shape + (3,))
-    status = np.empty(ts.shape[0], dtype=int)
-    for i in range(ts.shape[0]):
-        _, status[i], out[i] = _kernels.rk45_at_times(
-            *_head(problem), r0, th0, float(alphas[i]), ts[i], tol, *problem.domain
-        )
+    """Each lane alone, the reference for the lane kernel: the scalar sampler
+    for one time per lane, the lane kernel on one lane for a shared row."""
+    out = np.empty((len(alphas), ts.shape[1], 3))
+    status = np.empty(len(alphas), dtype=int)
+    for i, al in enumerate(np.asarray(alphas, dtype=float).tolist()):
+        if ts.shape[0] == 1:
+            status[i : i + 1], out[i : i + 1] = _kernels.rk45_lanes(
+                *_head(problem), r0, th0, np.array([al]), ts, tol, *problem.domain
+            )
+        else:
+            _, status[i], out[i] = _kernels.rk45_at_times(
+                *_head(problem), r0, th0, al, ts[i], tol, *problem.domain
+            )
     return out, status
 
 
@@ -125,6 +132,21 @@ def _all_at_once(problem, r0, th0, alphas, ts, tol=TOL):
         *_head(problem), r0, th0, np.asarray(alphas, dtype=float), ts, tol, *problem.domain
     )
     return out, status
+
+
+def _spy(monkeypatch, name):
+    """Replace ``_kernels.<name>`` by a wrapper that records each call's
+    arguments and result."""
+    calls = []
+    original = getattr(_kernels, name)
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(_kernels, name, spy)
+    return calls
 
 
 def _headings(n):
@@ -166,9 +188,12 @@ LANE_CASES = {
         make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0), _headings(48),
         np.linspace(0.0, 0.6, 160)[None, :], MAX_STEPS, COARSE,
     ),
-    # the numpy loop hands 14 lanes to the scalar stepper after 41 trial
-    # steps, and some of them reach their step limit there
-    "max-steps": (make_vortex(1.0), (0.5, 0.0), _headings(40), _EDGE_TIMES, 50, TOL),
+    # one time per lane: after 73 passes the numpy loop hands 15 lanes to the
+    # scalar stepper, and some of them reach their step limit there
+    "max-steps": (
+        make_vortex(1.0), (0.5, 0.0), _headings(40), np.linspace(0.05, 2.0, 40)[:, None],
+        100, TOL,
+    ),
     # every lane reaches its step limit in the numpy loop
     "max-steps-in-loop": (make_vortex(1.0), (0.5, 0.0), _headings(40), _TIMES, 5, TOL),
     # at tol 1e-30 the step size falls below its floor in the numpy loop,
@@ -195,7 +220,15 @@ def test_lane_kernel_matches_scalar_sampler(case, monkeypatch):
     assert ts.shape[0] == 1 or ts.shape == (alphas.shape[0], 1)
     assert alphas.shape[0] > _kernels.TAIL_LANES  # the numpy loop runs
     ref, ref_status = _one_by_one(problem, r0, th0, alphas, ts, tol)
+
+    landings = _spy(monkeypatch, "_land_on")
     out, status = _all_at_once(problem, r0, th0, alphas, ts, tol)
+    # the statuses of the batch's lanes that end in the scalar stepper
+    tail = [result[6] for _, result in landings]
+    if ts.shape[0] == 1:
+        assert not tail  # a shared row runs in the numpy loop to its end
+    elif case == "max-steps":
+        assert _kernels.STATUS_MAX_STEPS in tail and _kernels.STATUS_OK in tail
     assert status.tolist() == ref_status.tolist()
     assert np.array_equal(np.isnan(out), np.isnan(ref))
     finite = ~np.isnan(ref)
@@ -238,17 +271,16 @@ def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
         if math.isfinite(scalar[3]):
             assert scalar[4] == _kernels.rhs(*head, scalar[0], scalar[2])
             assert scalar[4] == tuple(stages[-1, :, i])
-            # the inner stages the continuous extension reads
-            assert scalar[5:] == tuple(tuple(stages[j, :, i]) for j in range(1, 5))
         else:
-            assert scalar[4:] == (None,) * 5
+            assert scalar[4:] == (None,)
 
 
 @pytest.mark.parametrize("sampler", ["trajectory", "at-times", "dense-row"])
 def test_rhs_once_at_start_and_at_most_six_per_trial_step(monkeypatch, sampler):
     # the step is first same as last: an accepted step hands its last stage
-    # on as the next step's first, and a rejected trial keeps its first; a
-    # dense row reads the times inside a step from that step's own stages
+    # on as the next step's first, and a rejected trial keeps its first.  The
+    # sampler lands on each time of a row, a dense row of 200 times included,
+    # and carries the RHS from one landing to the next
     calls = {"rhs": 0, "trial": 0}
     rhs, attempt = _kernels.rhs, _kernels._attempt_step
 
@@ -281,10 +313,9 @@ def test_rhs_once_at_start_and_at_most_six_per_trial_step(monkeypatch, sampler):
 )
 def test_lane_row_does_not_depend_on_its_batch(n_batch):
     # the batch shares the probe's row, and a third of it, with headings in
-    # [-pi, -1.5], leaves the domain before t = 0.55.  The probe lane alone
-    # runs in the scalar stepper only; in the batch of TAIL_LANES + 1 it
-    # starts in the numpy loop and passes to the scalar stepper when two
-    # lanes have stopped; in the largest batch it finishes in the numpy loop
+    # [-pi, -1.5], leaves the domain before t = 0.55, so the probe runs beside
+    # a batch that shrinks around it; a shared row stays in the numpy loop
+    # whatever its batch, the probe alone included
     problem = make_powerlaw(1.0, -3.0, 1.0)
     r0, th0 = 0.5, 0.0
     probe_alpha, probe_ts = 0.9, np.array([[0.0, 0.1, 0.25, 0.3, 0.55]])
@@ -306,7 +337,7 @@ def test_targets_inside_steps_do_not_move_the_steps():
     # two targets inside every step the single-target row [T] takes: each of
     # its trial steps holds both, so the row takes those steps whole and lands
     # on T with the same bits as [T].  Each heading's row is shared by
-    # 2 * TAIL_LANES copies of it, so the numpy loop fills the row
+    # 2 * TAIL_LANES copies of it, and by one lane alone
     problem, (r0, th0), t_end = make_vortex(1.0), (0.5, 0.0), 0.5
     for al in _headings(4).tolist():
         _, status, t, _ = _kernels.rk45_trajectory(
@@ -321,10 +352,8 @@ def test_targets_inside_steps_do_not_move_the_steps():
         )
         assert set(status.tolist()) == {_kernels.STATUS_OK}
         assert np.array_equal(dense[:, -1], single[:, 0])
-        _, _, alone = _kernels.rk45_at_times(  # the scalar sampler alike
-            *_head(problem), r0, th0, al, row, COARSE, *problem.domain
-        )
-        assert np.array_equal(alone[-1], single[0, 0])
+        alone, _ = _all_at_once(problem, r0, th0, [al], row[None, :], COARSE)
+        assert np.array_equal(alone[0, -1], single[0, 0])
 
 
 @pytest.mark.parametrize(
@@ -344,7 +373,7 @@ def test_endpoints_take_one_shared_ascending_row_or_one_time_per_heading(problem
 
 def test_lane_step_evaluates_the_rhs_six_times(monkeypatch):
     # the lane step is first same as last: one RHS call per lane kernel at the
-    # start, then 6 per pass; the scalar stepper finishes the tail
+    # start, then 6 per pass until every lane of the shared row stops
     calls = {"rhs": 0, "pass": 0}
     lane_rhs, attempt = _kernels._lane_rhs, _kernels._attempt_lanes
 
@@ -392,3 +421,61 @@ def test_dense_rows_agree_with_a_tight_reference(problem, start, t_end, tol):
     err = np.abs(out - ref)[away] / (tol * (1.0 + np.abs(ref[away])))
     assert err.size > 0.5 * ref[..., 0].size
     assert np.max(err) <= DENSE_ERROR_BOUND
+
+
+def test_shared_row_runs_in_the_numpy_loop_to_its_end(monkeypatch):
+    # lanes of a shared row leave the domain on different passes, until fewer
+    # than TAIL_LANES run; the rest still finish in the numpy loop
+    problem, (r0, th0) = make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0)
+    n = _kernels.TAIL_LANES + 4
+    alphas = _headings(n)
+    ts = np.linspace(0.0, 0.6, 16)[None, :]
+    scalar = _spy(monkeypatch, "_attempt_step")
+    passes = _spy(monkeypatch, "_attempt_lanes")
+    out, status = _all_at_once(problem, r0, th0, alphas, ts)
+    widths = [args[4].shape[1] for args, _ in passes]
+    assert len(set(widths)) > 2 and widths[0] == n and widths[-1] < _kernels.TAIL_LANES
+    assert {_kernels.STATUS_DOMAIN_EXIT, _kernels.STATUS_OK} <= set(status.tolist())
+    assert not scalar
+    monkeypatch.undo()
+    ref, ref_status = _one_by_one(problem, r0, th0, alphas, ts)
+    assert status.tolist() == ref_status.tolist()
+    assert np.array_equal(out, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [np.linspace(0.6, 0.1, 6)[:, None], np.linspace(0.0, 0.6, 6)[None, :]],
+    ids=["one-time-each", "shared-row"],
+)
+def test_lane_loop_stops_when_no_lane_runs_without_a_tail(monkeypatch, ts):
+    # with TAIL_LANES = 0 no lane reaches the scalar stepper, and the loop
+    # still returns once every lane has stopped, with the same bits; the
+    # first three lanes head into the core and leave the domain
+    problem, (r0, th0) = make_powerlaw(1.0, -3.0, 1.0), (0.5, 0.0)
+    alphas = np.array([-3.1, -2.6, -2.0, 0.0, 1.0, 2.0])
+    ref, ref_status = _all_at_once(problem, r0, th0, alphas, ts)
+    monkeypatch.setattr(_kernels, "TAIL_LANES", 0)
+    scalar = _spy(monkeypatch, "_attempt_step")
+    out, status = _all_at_once(problem, r0, th0, alphas, ts)
+    assert not scalar
+    assert status.tolist() == ref_status.tolist()
+    assert _kernels.STATUS_DOMAIN_EXIT in status.tolist()
+    assert np.array_equal(out, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [[math.nan], [-0.1], [math.inf], [0.1, math.nan, 0.2], [[0.1], [math.nan], [0.2]]],
+    ids=["nan", "negative", "inf", "nan-inside-a-row", "nan-for-one-heading"],
+)
+@pytest.mark.parametrize(
+    "problem, q0",
+    [(make_historical(), (0.0, 2.0)), (make_vortex(1.0), (0.5, 0.0))],
+    ids=["historical", "vortex"],
+)
+def test_endpoints_reject_times_not_finite_and_non_negative(problem, q0, ts):
+    # such a time would read as a position: the start point, a repeated
+    # sample or a backward-time point
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        endpoints(problem, q0, _headings(3), ts)
