@@ -112,30 +112,30 @@ def refine_curve_intersection(
     Damped Newton on F(u1, u2) = eval(u1) - eval(u2) with a finite-difference
     Jacobian that evaluates no parameter past ``hi``; returns ``None`` if the
     iteration leaves ``bounds`` or fails to converge, in which case the
-    caller keeps the polyline estimate.
+    caller keeps the polyline estimate.  Each curve point is evaluated once:
+    the two points of the current iterate are kept, and each Jacobian column
+    evaluates only the side it moves.
     """
     lo, hi = bounds
     u = np.array([u1, u2], dtype=float)
 
-    def gap(v):
-        p1 = np.asarray(eval_fn(v[0]), dtype=float)
-        p2 = np.asarray(eval_fn(v[1]), dtype=float)
-        return p1 - p2
+    def point(v):
+        return np.asarray(eval_fn(v), dtype=float)
 
-    f = gap(u)
+    p = [point(u[0]), point(u[1])]  # the curve points of the current iterate
+    f = p[0] - p[1]
     h = 1e-7 * max(1.0, hi)
 
     def column(i):  # a forward difference, taken inward where u[i] + h would pass hi
         step = -h if u[i] + h > hi else h
-        v = u.copy()
-        v[i] += step
-        return (gap(v) - f) / step
+        moved = p.copy()
+        moved[i] = point(u[i] + step)  # only this side moves
+        return (moved[0] - moved[1] - f) / step
 
     for _ in range(REFINE_MAX_ITER):
         norm = float(np.hypot(*f))
         if norm <= REFINE_TOL:
-            p = np.asarray(eval_fn(u[0]), dtype=float)
-            return float(u[0]), float(u[1]), (float(p[0]), float(p[1]))
+            return float(u[0]), float(u[1]), (float(p[0][0]), float(p[0][1]))
         jac = np.column_stack((column(0), column(1)))
         try:
             step = np.linalg.solve(jac, -f)
@@ -147,9 +147,10 @@ def refine_curve_intersection(
             if trial[0] < lo or trial[1] > hi or trial[0] >= trial[1]:
                 lam *= 0.5
                 continue
-            f_trial = gap(trial)
+            p_trial = [point(trial[0]), point(trial[1])]
+            f_trial = p_trial[0] - p_trial[1]
             if float(np.hypot(*f_trial)) < norm:
-                u, f = trial, f_trial
+                u, f, p = trial, f_trial, p_trial
                 break
             lam *= 0.5
         else:

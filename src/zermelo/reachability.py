@@ -36,9 +36,11 @@ by ``t_max``, is unreachable: a value, not an error.
 
 The grid is the whole shooting context: it carries the problem, start and
 config it was built from, and shooting reads them from the grid alone.  It
-tiles its (heading, time) index space once: each ``TILE`` x ``TILE`` block
-of nodes keeps the box of its endpoints and its largest capture radius, so
-a target's candidates come from the few tiles whose widened box holds it
+indexes its (heading, time) nodes in one pass over its tile rows of
+``TILE`` headings: each row gives its nodes' local cells, and each ``TILE``
+x ``TILE`` tile in it keeps the box of its endpoints and its largest
+capture radius, so the work arrays stay one tile row in size, and a
+target's candidates come from the few tiles whose widened box holds it
 rather than a scan of every node.  Tiles are local in index space, so lanes
 whose chart angle winds far from the rest of a polar grid widen only their
 own tiles.  Every sphere, scan and cut-locus estimate builds one grid and
@@ -132,51 +134,42 @@ class ShootingConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _local_cell(positions: np.ndarray) -> np.ndarray:
-    """Per node, the larger endpoint step to the previous heading or the next time.
+def _grid_index(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node its local cell, and per ``TILE`` x ``TILE`` tile its node box and capture radius.
 
-    Steps that touch a nan node count as 0.  The heading step is
+    One pass over the tile rows of ``TILE`` headings (the last may be
+    ragged) forms both, so the work arrays stay one tile row in size.  A
+    node's cell is the larger endpoint step to the previous heading (which
+    wraps) or to the next time (the last time repeats the one before); a
+    step that touches a nan node counts as 0.  The heading step is
     ``sqrt(dx*dx + dy*dy)``, the sum ``np.linalg.norm`` takes, and the time
-    step ``max(|dx|, |dy|)``; both are formed one coordinate plane at a time
-    in place, so the work arrays stay plane-sized.
+    step ``max(|dx|, |dy|)``.  The tiles are planes ``(lo x, lo y, hi x,
+    hi y, radius)``: the box of the tile's finite nodes (nan if it has
+    none), and ``CAPTURE_FACTOR`` times its largest cell, since the capture
+    radius grows with the cell.
     """
-    x, y = positions[..., 0], positions[..., 1]
-    cell = np.empty(x.shape)
-    buf = np.empty(x.shape)
-    for plane, out in ((x, cell), (y, buf)):  # step to the previous heading, which wraps
-        np.subtract(plane[1:], plane[:-1], out=out[1:])
-        np.subtract(plane[0], plane[-1], out=out[0])
-        np.multiply(out, out, out=out)
-    cell += buf
-    np.sqrt(cell, out=cell)
-    cell[~np.isfinite(cell)] = 0.0
-    step_t = buf[:, :-1]  # step to the next time; the last time repeats the one before
-    np.subtract(x[:, 1:], x[:, :-1], out=step_t)
-    np.abs(step_t, out=step_t)
-    dy = np.subtract(y[:, 1:], y[:, :-1])
-    np.maximum(step_t, np.abs(dy, out=dy), out=step_t)  # nan propagates, as in max
-    buf[:, -1] = buf[:, -2]
-    buf[~np.isfinite(buf)] = 0.0
-    return np.fmax(cell, buf, out=cell)
-
-
-def _tile_boxes(positions: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Per ``TILE`` x ``TILE`` tile of nodes: its node box and largest capture radius.
-
-    Planes ``(lo x, lo y, hi x, hi y, radius)`` over the (heading, time)
-    tiles; the last tiles may be ragged.  Nan nodes are left out of the box,
-    so a tile with no finite node has a nan box.  Each reduction runs over
-    the heading axis first, so its work arrays are 1/``TILE`` of a plane.
-    """
-    starts = [np.arange(0, n, TILE) for n in cell.shape]
-
-    def reduce(op, plane):
-        return op.reduceat(op.reduceat(plane, starts[0], axis=0), starts[1], axis=1)
-
-    planes = [reduce(op, positions[..., c]) for op in (np.fmin, np.fmax) for c in (0, 1)]
-    # the capture radius grows with the cell, so the largest cell gives the largest radius
-    radius = CAPTURE_FACTOR * np.fmax(reduce(np.maximum, cell), 1e-12)
-    return np.stack(planes + [radius])
+    n_alpha, n_time = positions.shape[:2]
+    cols = np.arange(0, n_time, TILE)
+    cell = np.empty((n_alpha, n_time))
+    tiles = np.empty((5, -(-n_alpha // TILE), cols.shape[0]))
+    for k, i in enumerate(range(0, n_alpha, TILE)):
+        rows = positions[i : i + TILE]
+        row_cell = cell[i : i + TILE]
+        step = np.abs(np.diff(rows, axis=1))  # to the next time
+        np.maximum(step[..., 0], step[..., 1], out=row_cell[:, :-1])  # nan propagates, as in max
+        row_cell[:, -1] = row_cell[:, -2]
+        row_cell[~np.isfinite(row_cell)] = 0.0
+        # to the previous heading, which wraps
+        d = rows - positions.take(range(i - 1, i - 1 + rows.shape[0]), axis=0, mode="wrap")
+        d *= d
+        step = np.sqrt(d[..., 0] + d[..., 1])
+        step[~np.isfinite(step)] = 0.0
+        np.fmax(step, row_cell, out=row_cell)
+        tiles[:2, k] = np.fmin.reduceat(np.fmin.reduce(rows, axis=0), cols).T
+        tiles[2:4, k] = np.fmax.reduceat(np.fmax.reduce(rows, axis=0), cols).T
+        largest = np.maximum.reduceat(np.maximum.reduce(row_cell, axis=0), cols)
+        tiles[4, k] = CAPTURE_FACTOR * np.fmax(largest, 1e-12)
+    return cell, tiles
 
 
 @dataclass
@@ -197,8 +190,7 @@ class ShootingGrid:
     tiles: np.ndarray = field(init=False, repr=False)  # (5, n_tile_alpha, n_tile_time) boxes
 
     def __post_init__(self):
-        self.cell = _local_cell(self.positions)
-        self.tiles = _tile_boxes(self.positions, self.cell)
+        self.cell, self.tiles = _grid_index(self.positions)
 
 
 @dataclass(frozen=True)
@@ -362,7 +354,8 @@ def _candidate_nodes(grid: ShootingGrid, target, reached_by: float = math.inf):
     nodes = _tile_nodes(grid, tx, ty)
     d = distance(nodes)
     keep = d <= CAPTURE_FACTOR * np.fmax(grid.cell.reshape(-1)[nodes], 1e-12)
-    keep &= grid.times[nodes % n_time] <= _arrival_bound(grid.times, reached_by)
+    if reached_by < math.inf:  # value scans know no bound: every time is kept
+        keep &= grid.times[nodes % n_time] <= _arrival_bound(grid.times, reached_by)
     nodes, d = nodes[keep], d[keep]
     # each test keeps the nodes no farther than one neighbour; the heading
     # neighbours reject most, so the time neighbours see only the survivors

@@ -24,7 +24,8 @@ from zermelo import (
     state_at,
     wrap_angle,
 )
-from zermelo.closedform import historical_endpoints, historical_state
+from zermelo import closedform
+from zermelo.closedform import historical_endpoints, historical_positions, historical_state
 
 from conftest import angle_gap
 
@@ -124,6 +125,38 @@ def test_closed_form_semigroup(g0, t1, t2):
     assert abs(once.c1 - twice.c1) < 1e-9
     assert abs(once.c2 - twice.c2) < 1e-9
     assert angle_gap(once.heading, twice.heading) < 1e-9
+
+
+GRID_TIMES = np.linspace(0.0, 3.0, 300)
+GRID_BLOCK = closedform.BLOCK // GRID_TIMES.shape[0]  # headings per block of a grid
+
+
+def _block_headings(n, rng):
+    """``n`` headings, the first two exactly vertical (``tan`` of the floats nearest +-pi/2)."""
+    return np.concatenate(([math.pi / 2, -math.pi / 2], rng.uniform(-math.pi, math.pi, n)))[:n]
+
+
+@pytest.mark.parametrize(
+    "n_grid, n_lane",
+    [(0, 0), (2, 2), (2 * GRID_BLOCK + 5, closedform.BLOCK + 3)],  # the last block is ragged
+)
+def test_closed_form_blocks_equal_one_unblocked_flow(n_grid, n_lane):
+    rng = np.random.default_rng(n_lane)
+    x0, y0 = 0.3, 2.0
+
+    def same_bits(blocked, g0s, ts):
+        whole = closedform._flow(x0, y0, g0s, ts)
+        assert blocked.shape == whole.shape
+        assert blocked.tobytes() == whole.tobytes()
+
+    g0s = _block_headings(n_grid, rng)
+    same_bits(
+        historical_positions(x0, y0, g0s, GRID_TIMES), g0s[:, None], GRID_TIMES[None, :]
+    )
+    g0s = _block_headings(n_lane, rng)
+    ts = rng.uniform(0.0, 3.0, (n_lane, 1))  # one time per heading
+    same_bits(historical_endpoints(x0, y0, g0s[:, None], ts), g0s[:, None], ts)
+    same_bits(historical_endpoints(x0, y0, g0s, ts[:, 0]), g0s, ts[:, 0])
 
 
 # -- numeric integration --------------------------------------------------------

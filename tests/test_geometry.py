@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from zermelo import make_powerlaw
-from zermelo.geometry import polyline_self_intersections, refine_curve_intersection
+from zermelo.geometry import (
+    REFINE_MAX_ITER,
+    REFINE_TOL,
+    polyline_self_intersections,
+    refine_curve_intersection,
+)
 from zermelo.reachability import wavefront
 
 
@@ -51,6 +56,82 @@ def test_figure_eight_crossing_and_refinement():
     assert math.hypot(x, y) < 1e-9
     assert math.isclose(r1, math.pi, abs_tol=1e-7)
     assert math.isclose(r2, 2.0 * math.pi, abs_tol=1e-7)
+
+
+def _refine_evaluating_both_points(eval_fn, u1, u2, bounds):
+    """The crossing polish that evaluates both curve points for every gap it forms.
+
+    The reference of ``refine_curve_intersection``, which keeps the points of
+    its iterate and must take the same iterates with fewer evaluations.
+    """
+    lo, hi = bounds
+    u = np.array([u1, u2], dtype=float)
+
+    def gap(v):
+        return np.asarray(eval_fn(v[0]), dtype=float) - np.asarray(eval_fn(v[1]), dtype=float)
+
+    f = gap(u)
+    h = 1e-7 * max(1.0, hi)
+
+    def column(i):
+        step = -h if u[i] + h > hi else h
+        v = u.copy()
+        v[i] += step
+        return (gap(v) - f) / step
+
+    for _ in range(REFINE_MAX_ITER):
+        norm = float(np.hypot(*f))
+        if norm <= REFINE_TOL:
+            p = np.asarray(eval_fn(u[0]), dtype=float)
+            return float(u[0]), float(u[1]), (float(p[0]), float(p[1]))
+        jac = np.column_stack((column(0), column(1)))
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        for _ in range(20):
+            trial = u + lam * step
+            if trial[0] < lo or trial[1] > hi or trial[0] >= trial[1]:
+                lam *= 0.5
+                continue
+            f_trial = gap(trial)
+            if float(np.hypot(*f_trial)) < norm:
+                u, f = trial, f_trial
+                break
+            lam *= 0.5
+        else:
+            return None
+    return None
+
+
+@pytest.mark.parametrize(
+    "u1, u2, hi",
+    [
+        (3.0, 6.4, 2.5 * math.pi),
+        (2.9, 6.1, 2.5 * math.pi),
+        (3.1, 6.28, 2.0 * math.pi + 5e-8),  # u2 + h passes hi: the column steps inward
+        (math.pi, 2.0 * math.pi, 2.5 * math.pi),  # starts within the tolerance
+    ],
+)
+def test_crossing_polish_evaluates_each_curve_point_once(u1, u2, hi):
+    calls = {"kept": [], "both": []}
+
+    def counted(name):
+        def eval_fn(u):
+            calls[name].append(u)
+            return _figure_eight(u)
+        return eval_fn
+
+    bounds = (0.5 * math.pi, hi)
+    kept = refine_curve_intersection(counted("kept"), u1, u2, bounds)
+    both = _refine_evaluating_both_points(counted("both"), u1, u2, bounds)
+    assert kept is not None
+    assert repr(kept) == repr(both)  # the same iterates, bit for bit
+    # two points per Newton iteration (the unmoved side of each Jacobian
+    # column) and the converged point are no longer evaluated again
+    saved = len(calls["both"]) - len(calls["kept"])
+    assert saved >= 1 and saved % 2 == 1
 
 
 def test_param_gap_filter():

@@ -27,15 +27,15 @@ from zermelo import (
     wavefront,
     wrap_angle,
 )
-from zermelo import make_historical, make_powerlaw, make_vortex, reachability
+from zermelo import closedform, make_historical, make_powerlaw, make_vortex, reachability
 from zermelo.closedform import historical_positions
 from zermelo.reachability import (
     LINE_SEARCH_STEPS,
     MAX_NEWTON,
+    TILE,
     _candidate_nodes,
-    _local_cell,
+    _grid_index,
     _newton_polish,
-    _tile_boxes,
     _tile_nodes,
     _value_samples,
 )
@@ -313,7 +313,7 @@ def test_candidate_index_matches_full_scan(historical, vortex, family, q0, confi
 
 
 def _roll_local_cell(positions):
-    """``np.roll`` / ``np.linalg.norm`` form of the local cell: the oracle of ``_local_cell``."""
+    """``np.roll`` / ``np.linalg.norm`` form of the local cell: the oracle of the grid's cells."""
     step_a = np.linalg.norm(positions - np.roll(positions, 1, axis=0), axis=-1)
     step_t = np.abs(np.diff(positions, axis=1)).max(axis=-1)
     step_t = np.concatenate((step_t, step_t[:, -1:]), axis=1)
@@ -323,44 +323,84 @@ def _roll_local_cell(positions):
     )
 
 
-@pytest.mark.parametrize(
-    "family, q0, config",
-    [
-        ("historical", Q0_STRONG, ShootingConfig()),
-        ("historical", Q0_WEAK, ShootingConfig()),
-        ("vortex", (0.15, 0.0), ShootingConfig(t_max=0.4, n_alpha=64, n_time=64)),
-        ("powerlaw", (0.5, 0.0), ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)),
-        ("historical", Q0_STRONG, ShootingConfig(n_time=8)),
-    ],
-)
-def test_local_cell_matches_roll_form(historical, vortex, family, q0, config):
+def _sliced_tiles(positions, cell):
+    """Each tile's box and radius from its own ``[i:i+TILE, j:j+TILE]`` slices: the tiles' oracle."""
+    n_alpha, n_time = cell.shape
+    tiles = np.full((5, -(-n_alpha // TILE), -(-n_time // TILE)), np.nan)
+    for a in range(tiles.shape[1]):
+        for b in range(tiles.shape[2]):
+            i, j = a * TILE, b * TILE
+            for c in (0, 1):
+                v = positions[i : i + TILE, j : j + TILE, c]
+                v = v[np.isfinite(v)]
+                if v.size:
+                    tiles[c, a, b], tiles[2 + c, a, b] = v.min(), v.max()
+            largest = cell[i : i + TILE, j : j + TILE].max()
+            tiles[4, a, b] = reachability.CAPTURE_FACTOR * max(largest, 1e-12)
+    return tiles
+
+
+INDEX_CASES = [
+    ("historical", Q0_STRONG, ShootingConfig()),
+    ("historical", Q0_WEAK, ShootingConfig()),
+    ("vortex", (0.15, 0.0), ShootingConfig(t_max=0.4, n_alpha=64, n_time=64)),
+    ("powerlaw", (0.5, 0.0), ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)),
+    ("historical", Q0_STRONG, ShootingConfig(n_time=8)),
+    ("historical", Q0_STRONG, ShootingConfig(n_alpha=67, n_time=13)),  # ragged last tiles
+]
+
+
+def _index_grids(historical, vortex, family, q0, config):
+    """The case's grid, and the same grid cut at the arrival bound of a third of its horizon."""
     problem = {
         "historical": historical, "vortex": vortex, "powerlaw": make_powerlaw(1.0, -3.0, 1.0)
     }[family]
-    grid = build_shooting_grid(problem, q0, config)
+    whole, cut = (
+        build_shooting_grid(problem, q0, config, reached_by=r) for r in (math.inf, config.t_max / 3)
+    )
+    assert cut.times.shape[0] < whole.times.shape[0]
     if family != "historical":
-        assert np.isnan(grid.positions).any()  # steps that touch a nan node count as 0
-    np.testing.assert_array_equal(_local_cell(grid.positions), _roll_local_cell(grid.positions))
+        assert np.isnan(whole.positions).any()  # steps that touch a nan node count as 0
+    return whole, cut
+
+
+@pytest.mark.parametrize("family, q0, config", INDEX_CASES)
+def test_local_cell_matches_roll_form(historical, vortex, family, q0, config):
+    for grid in _index_grids(historical, vortex, family, q0, config):
+        np.testing.assert_array_equal(grid.cell, _roll_local_cell(grid.positions))
+
+
+@pytest.mark.parametrize("family, q0, config", INDEX_CASES)
+def test_tiles_match_their_sliced_boxes(historical, vortex, family, q0, config):
+    for grid in _index_grids(historical, vortex, family, q0, config):
+        np.testing.assert_array_equal(grid.tiles, _sliced_tiles(grid.positions, grid.cell))
 
 
 def _traced_peak(build):
-    """Peak bytes traced while ``build()`` runs, above what was live before it."""
+    """Peak bytes traced while ``build()`` runs, above what was live before it, and its result."""
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        build()
-        return tracemalloc.get_traced_memory()[1] - live
+        result = build()
+        return tracemalloc.get_traced_memory()[1] - live, result
     finally:
         tracemalloc.stop()
 
 
 def test_local_cell_works_in_plane_sized_arrays(historical):
-    grid = build_shooting_grid(historical, Q0_STRONG, ShootingConfig())
-    plane = grid.cell.size * 8
-    # the result and two work planes; the np.roll form peaks at six planes
-    assert _traced_peak(lambda: _local_cell(grid.positions)) <= 5 * plane
-    # the tile boxes reduce the heading axis first, so no full plane is copied
-    assert _traced_peak(lambda: _tile_boxes(grid.positions, grid.cell)) <= 2 * plane
+    # the index walks one tile row and the closed form one block of headings
+    # at a time, so each traces its result plus a work allowance of sixteen
+    # blocks (2 MB), less than one (720, 600) plane of the grid
+    work = 16 * closedform.BLOCK * 8
+    peak, grid = _traced_peak(lambda: build_shooting_grid(historical, Q0_STRONG, ShootingConfig()))
+    assert grid.cell.nbytes > work
+    kept = grid.positions.nbytes + grid.cell.nbytes + grid.tiles.nbytes
+    assert peak <= kept + work
+    peak, (cell, tiles) = _traced_peak(lambda: _grid_index(grid.positions))
+    assert peak <= cell.nbytes + tiles.nbytes + work
+    peak, positions = _traced_peak(lambda: historical_positions(*Q0_STRONG, grid.alphas, grid.times))
+    assert peak <= positions.nbytes + work
+    np.testing.assert_array_equal(positions, grid.positions)
 
 
 def test_tile_lookup_stays_local_on_the_default_vortex_grid(vortex):
