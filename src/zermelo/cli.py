@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", default="historical", help="preset name or JSON descriptor")
         p.add_argument("--tol", type=float, default=None,
                        help="classification (classify, cusp), integration (integrate, "
-                       "wavefront, synthesis) or landing (value, ball) tolerance")
+                       "wavefront; in synthesis the geodesic bundle only, not the cut-locus "
+                       "estimate) or landing (value, ball) tolerance")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("classify", help="bracket determinants and heading class at a state")

@@ -21,26 +21,23 @@ REFINE_MAX_ITER = 40
 
 
 def polyline_self_intersections(
-    points: np.ndarray,
-    params: np.ndarray,
-    min_param_gap: float | None = None,
+    points: np.ndarray, params: np.ndarray
 ) -> list[tuple[float, float, tuple[float, float]]]:
     """Transversal self-intersections of an open polyline.
 
     ``points`` is (n, 2), ``params`` the matching strictly increasing curve
     parameter.  Returns tuples ``(u1, u2, (x, y))`` with ``u1 < u2``, the
-    parameters linearly interpolated within the intersecting segments.
-    Pairs closer than ``min_param_gap`` in parameter are dropped (defaults
-    to three maximal sample spacings) so that mere sample adjacency never
-    counts as a crossing.
+    parameters linearly interpolated within the intersecting segments.  A
+    pair no more than three of the largest parameter steps apart
+    (``u2 - u1 <= 3 * max(diff(params))``) is dropped, so that mere sample
+    adjacency never counts as a crossing.
     """
     pts = np.asarray(points, dtype=float)
     par = np.asarray(params, dtype=float)
     n = pts.shape[0]
     if n < 4:
         return []
-    if min_param_gap is None:
-        min_param_gap = 3.0 * float(np.max(np.diff(par)))
+    min_param_gap = 3.0 * float(np.max(np.diff(par)))
 
     a = pts[:-1]
     b = pts[1:]

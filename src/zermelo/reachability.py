@@ -36,19 +36,21 @@ by ``t_max``, is unreachable: a value, not an error.
 
 The grid is the whole shooting context: it carries the problem, start and
 config it was built from, and shooting reads them from the grid alone.  It
-indexes its (heading, time) nodes in one pass over its tile rows of
-``TILE`` headings: each row gives its nodes' local cells, and each ``TILE``
-x ``TILE`` tile in it keeps the box of its endpoints and its largest
-capture radius, so the work arrays stay one tile row in size, and a
-target's candidates come from the few tiles whose widened box holds it
-rather than a scan of every node.  Tiles are local in index space, so lanes
-whose chart angle winds far from the rest of a polar grid widen only their
-own tiles.  Every sphere, scan and cut-locus estimate builds one grid and
-polishes every candidate of every target in one Newton batch; a cut-locus
-estimate first collects the crossings of all its (untagged) fronts.  The
-grid samples the endpoint map at ``COARSE_CONTROL``: it only seeds the
-first stage, which iterates on that map.  Spheres and cut-locus estimates
-know a time by which each of their targets is reached, the front time:
+indexes its (heading, time) nodes in one pass over blocks of whole tile
+rows of ``TILE`` headings, about ``closedform.BLOCK`` nodes each: a block
+gives its nodes' local cells, and each ``TILE`` x ``TILE`` tile in it keeps
+the box of its endpoints and its largest capture radius, so the work arrays
+stay one block in size, and a target's candidates come from the few tiles
+whose widened box holds it rather than a scan of every node.  Tiles are
+local in index space, so lanes whose chart angle winds far from the rest of
+a polar grid widen only their own tiles.  Every sphere, scan and cut-locus
+estimate builds one grid and polishes every candidate of every target in
+one Newton batch; a cut-locus estimate first collects the crossings of all
+its (untagged) fronts, which one ``endpoints`` call samples on a shared
+ascending row of times, as it samples a grid.  The grid samples the
+endpoint map at ``COARSE_CONTROL``: it only seeds the first stage, which
+iterates on that map.  Spheres and cut-locus estimates know a time by
+which each of their targets is reached, the front time:
 a candidate node more than ``CAPTURE_FACTOR`` grid time steps past it (the
 arrival bound) is not polished, since an earlier arrival has a candidate
 within that many local cells.  A lane's result does not depend on its
@@ -70,6 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import closedform
 from .brackets import ExtremalTag, abnormal_headings, classify
 from .cusp import cusp_historical, cusp_numeric
 from .flow import (
@@ -137,38 +140,51 @@ class ShootingConfig:
 def _grid_index(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node its local cell, and per ``TILE`` x ``TILE`` tile its node box and capture radius.
 
-    One pass over the tile rows of ``TILE`` headings (the last may be
-    ragged) forms both, so the work arrays stay one tile row in size.  A
-    node's cell is the larger endpoint step to the previous heading (which
-    wraps) or to the next time (the last time repeats the one before); a
-    step that touches a nan node counts as 0.  The heading step is
-    ``sqrt(dx*dx + dy*dy)``, the sum ``np.linalg.norm`` takes, and the time
-    step ``max(|dx|, |dy|)``.  The tiles are planes ``(lo x, lo y, hi x,
-    hi y, radius)``: the box of the tile's finite nodes (nan if it has
-    none), and ``CAPTURE_FACTOR`` times its largest cell, since the capture
-    radius grows with the cell.
+    One pass over blocks of whole tile rows of ``TILE`` headings, about
+    ``closedform.BLOCK`` nodes and at least one tile row each, forms both,
+    so the work arrays stay one block in size.  A node's cell is the larger
+    endpoint step to the previous heading (which wraps) or to the next time
+    (the last time repeats the one before); a step that touches a nan node
+    counts as 0.  The heading step is ``sqrt(dx*dx + dy*dy)``, the sum
+    ``np.linalg.norm`` takes, and the time step ``max(|dx|, |dy|)``.  The
+    tiles are planes ``(lo x, lo y, hi x, hi y, radius)``: the box of the
+    tile's finite nodes (nan if it has none), and ``CAPTURE_FACTOR`` times
+    its largest cell, since the capture radius grows with the cell.  A
+    block's tiles reduce their ``TILE`` headings through a ``(k, TILE,
+    ...)`` reshape; a ragged last tile row repeats its last heading, which
+    moves no min or max.
     """
     n_alpha, n_time = positions.shape[:2]
     cols = np.arange(0, n_time, TILE)
     cell = np.empty((n_alpha, n_time))
     tiles = np.empty((5, -(-n_alpha // TILE), cols.shape[0]))
-    for k, i in enumerate(range(0, n_alpha, TILE)):
-        rows = positions[i : i + TILE]
-        row_cell = cell[i : i + TILE]
-        step = np.abs(np.diff(rows, axis=1))  # to the next time
-        np.maximum(step[..., 0], step[..., 1], out=row_cell[:, :-1])  # nan propagates, as in max
-        row_cell[:, -1] = row_cell[:, -2]
-        row_cell[~np.isfinite(row_cell)] = 0.0
+    block = TILE * max(1, closedform.BLOCK // (TILE * n_time))  # headings per block
+    for i in range(0, n_alpha, block):
+        rows = positions[i : i + block]
+        block_cell = cell[i : i + block]
+        step = np.diff(rows, axis=1)  # to the next time
+        np.abs(step, out=step)
+        np.maximum(step[..., 0], step[..., 1], out=block_cell[:, :-1])  # nan propagates, as in max
+        block_cell[:, -1] = block_cell[:, -2]
+        block_cell[~np.isfinite(block_cell)] = 0.0
         # to the previous heading, which wraps
-        d = rows - positions.take(range(i - 1, i - 1 + rows.shape[0]), axis=0, mode="wrap")
+        d = positions.take(range(i - 1, i - 1 + rows.shape[0]), axis=0, mode="wrap")
+        np.subtract(rows, d, out=d)
         d *= d
-        step = np.sqrt(d[..., 0] + d[..., 1])
+        step = np.add(d[..., 0], d[..., 1])
+        np.sqrt(step, out=step)
         step[~np.isfinite(step)] = 0.0
-        np.fmax(step, row_cell, out=row_cell)
-        tiles[:2, k] = np.fmin.reduceat(np.fmin.reduce(rows, axis=0), cols).T
-        tiles[2:4, k] = np.fmax.reduceat(np.fmax.reduce(rows, axis=0), cols).T
-        largest = np.maximum.reduceat(np.maximum.reduce(row_cell, axis=0), cols)
-        tiles[4, k] = CAPTURE_FACTOR * np.fmax(largest, 1e-12)
+        np.fmax(step, block_cell, out=block_cell)
+        k = -(-rows.shape[0] // TILE)  # tile rows in the block
+        if rows.shape[0] < k * TILE:  # a ragged last tile row repeats its last heading
+            pad = np.minimum(np.arange(k * TILE), rows.shape[0] - 1)
+            rows, block_cell = rows[pad], block_cell[pad]
+        rows, block_cell = rows.reshape(k, TILE, n_time, 2), block_cell.reshape(k, TILE, n_time)
+        out = tiles[:, i // TILE : i // TILE + k]
+        out[:2] = np.fmin.reduceat(np.fmin.reduce(rows, axis=1), cols, axis=1).transpose(2, 0, 1)
+        out[2:4] = np.fmax.reduceat(np.fmax.reduce(rows, axis=1), cols, axis=1).transpose(2, 0, 1)
+        largest = np.maximum.reduceat(np.maximum.reduce(block_cell, axis=1), cols, axis=1)
+        out[4] = CAPTURE_FACTOR * np.fmax(largest, 1e-12)
     return cell, tiles
 
 
@@ -752,10 +768,12 @@ def cut_locus_estimate(
     """Cut-locus estimate at a strong-current start.
 
     The two abnormal arcs (the cusped one truncated at its cusp) form the
-    estimate's backbone; equal-time self-crossings of intermediate
-    wavefronts are collected as separating-line candidates and confirmed
-    when the value function matches the front time at the crossing.
-    ``t_max`` defaults to 1.5x the forward cusp time (the adapted
+    estimate's backbone; equal-time self-crossings of ``N_FRONT_TIMES``
+    intermediate wavefronts are collected as separating-line candidates and
+    confirmed when the value function matches the front time at the
+    crossing.  The fronts are one ``endpoints`` call on a shared ascending
+    row of their times; a front that lost a lane to a domain exit is
+    skipped.  ``t_max`` defaults to 1.5x the forward cusp time (the adapted
     neighborhood this estimate is valid in).
     """
     if t_max is not None and not 0.0 < t_max < math.inf:
@@ -780,9 +798,10 @@ def cut_locus_estimate(
 
     alphas = _heading_circle(n_alpha)
     par = np.concatenate((alphas, alphas[:1] + 2.0 * math.pi))  # closes each front
+    front_times = np.linspace(0.35, 1.0, N_FRONT_TIMES) * t_max
+    fronts = endpoints(problem, q0, alphas, front_times)  # one shared row of times
     crossings = []  # (t_k, heading a, heading b, position) over every front
-    for t_k in np.linspace(0.35, 1.0, N_FRONT_TIMES) * t_max:
-        front = endpoints(problem, q0, alphas, (float(t_k),))[:, 0]
+    for t_k, front in zip(front_times, fronts.transpose(1, 0, 2)):
         if not np.all(np.isfinite(front[:, 0])):  # a lane left the domain
             continue
         pts = np.vstack((front, front[:1]))

@@ -65,6 +65,9 @@ COMMANDS = [  # (directory name, problem, command and its arguments)
     ("historical-classify-tol-inf", "historical", "classify --state 0,0.5,1 --tol inf"),
     # a front of fewer lanes than the lane kernel's TAIL_LANES: all in the scalar stepper
     ("vortex-wavefront-12", "vortex", "wavefront --q0 0.5,0 --t 0.3 --n 12"),
+    # a cut-locus estimate that confirms separating points while its later
+    # fronts lose lanes to the vortex core and are skipped
+    ("vortex-synthesis-07", "vortex", "synthesis --q0 0.7,0 --n 32"),
 ]
 
 

@@ -18,13 +18,19 @@ def _figure_eight(u):
     return (math.sin(2.0 * u), math.sin(u))
 
 
+# a bow tie whose crossing segments are five parameter steps apart: the
+# middle edge runs down x = 2 in four steps
+BOW_TIE = np.array(
+    [[0.0, 0.0], [2.0, 2.0], [2.0, 1.5], [2.0, 1.0], [2.0, 0.5], [2.0, 0.0], [0.0, 2.0]]
+)
+
+
 def test_simple_crossing_detected():
-    pts = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-    par = np.array([0.0, 1.0, 2.0, 3.0])
-    hits = polyline_self_intersections(pts, par, min_param_gap=0.0)
+    par = np.arange(7.0)
+    hits = polyline_self_intersections(BOW_TIE, par)
     assert len(hits) == 1
     u1, u2, (x, y) = hits[0]
-    assert 0.0 < u1 < 1.0 < 2.0 < u2 < 3.0
+    assert 0.0 < u1 < 1.0 < 5.0 < u2 < 6.0
     assert math.isclose(x, 1.0) and math.isclose(y, 1.0)
 
 
@@ -135,20 +141,24 @@ def test_crossing_polish_evaluates_each_curve_point_once(u1, u2, hi):
 
 
 def test_param_gap_filter():
-    u = np.linspace(0.5 * math.pi, 2.5 * math.pi, 400)
-    pts = np.array([_figure_eight(v) for v in u])
-    assert polyline_self_intersections(pts, u, min_param_gap=10.0) == []
+    # a crossing no more than three of the largest parameter steps apart is
+    # dropped: the bow tie's crossing (u2 - u1 = 5) goes once its middle edge
+    # is one step, or once a step of 2 (a far tail point) joins the polyline
+    par = np.arange(7.0)
+    assert len(polyline_self_intersections(BOW_TIE, par)) == 1
+    assert polyline_self_intersections(BOW_TIE[[0, 1, 5, 6]], np.arange(4.0)) == []
+    tail = np.vstack((BOW_TIE, [[10.0, 10.0]]))
+    assert polyline_self_intersections(tail, np.append(par, 8.0)) == []
 
 
-def _all_pairs_reference(points, params, min_param_gap=None):
+def _all_pairs_reference(points, params):
     """Self-intersections screened over all n(n-1)/2 segment pairs in row-major order."""
     pts = np.asarray(points, dtype=float)
     par = np.asarray(params, dtype=float)
     n = pts.shape[0]
     if n < 4:
         return []
-    if min_param_gap is None:
-        min_param_gap = 3.0 * float(np.max(np.diff(par)))
+    min_param_gap = 3.0 * float(np.max(np.diff(par)))
     a, b = pts[:-1], pts[1:]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     ii, jj = np.triu_indices(n - 1, k=2)
@@ -178,10 +188,10 @@ def _all_pairs_reference(points, params, min_param_gap=None):
     return out
 
 
-def _assert_same_hits(points, params, min_param_gap=None):
-    hits = polyline_self_intersections(points, params, min_param_gap)
+def _assert_same_hits(points, params):
+    hits = polyline_self_intersections(points, params)
     # repr tells 0.0 from -0.0: equal crossings found by two pairs keep their order
-    assert repr(hits) == repr(_all_pairs_reference(points, params, min_param_gap))
+    assert repr(hits) == repr(_all_pairs_reference(points, params))
     return len(hits)
 
 
@@ -199,7 +209,7 @@ def test_sweep_matches_the_all_pairs_screen_on_random_walks(with_nan):
         if with_nan and n > 3:
             pts[rng.integers(0, n, 1 + n // 20)] = np.nan
         par = np.cumsum(rng.uniform(0.1, 1.0, n))
-        found += _assert_same_hits(pts, par, None if trial % 4 else 0.0)
+        found += _assert_same_hits(pts, par)
     assert found > 1000
 
 

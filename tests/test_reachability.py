@@ -29,6 +29,7 @@ from zermelo import (
 )
 from zermelo import closedform, make_historical, make_powerlaw, make_vortex, reachability
 from zermelo.closedform import historical_positions
+from zermelo.geometry import polyline_self_intersections
 from zermelo.reachability import (
     LINE_SEARCH_STEPS,
     MAX_NEWTON,
@@ -347,33 +348,57 @@ INDEX_CASES = [
     ("powerlaw", (0.5, 0.0), ShootingConfig(t_max=1.0, n_alpha=64, n_time=64)),
     ("historical", Q0_STRONG, ShootingConfig(n_time=8)),
     ("historical", Q0_STRONG, ShootingConfig(n_alpha=67, n_time=13)),  # ragged last tiles
+    # whole blocks of tile rows, then a ragged last one
+    ("historical", Q0_STRONG, ShootingConfig(n_alpha=723, n_time=601)),
 ]
 
 
 def _index_grids(historical, vortex, family, q0, config):
-    """The case's grid, and the same grid cut at the arrival bound of a third of its horizon."""
+    """The case's grid, and the same grid cut at the arrival bounds of 1/3 and 1/20 of its horizon.
+
+    The default historical grid cut at 1/20 is the 720x34 grid of ``ball
+    --q0 0,2 --t 0.3``: short rows, many tile rows to a block.
+    """
     problem = {
         "historical": historical, "vortex": vortex, "powerlaw": make_powerlaw(1.0, -3.0, 1.0)
     }[family]
-    whole, cut = (
-        build_shooting_grid(problem, q0, config, reached_by=r) for r in (math.inf, config.t_max / 3)
+    whole, *cuts = (
+        build_shooting_grid(problem, q0, config, reached_by=r)
+        for r in (math.inf, config.t_max / 3, config.t_max / 20)
     )
-    assert cut.times.shape[0] < whole.times.shape[0]
+    assert all(cut.times.shape[0] < whole.times.shape[0] for cut in cuts)
     if family != "historical":
         assert np.isnan(whole.positions).any()  # steps that touch a nan node count as 0
-    return whole, cut
+    return whole, *cuts
+
+
+def _index_in_any_block(grid, monkeypatch):
+    """The grid's cell and tiles, once indexing it in blocks of other sizes gave the same bytes.
+
+    The blocks hold one tile row, three tile rows and the whole plane.
+    """
+    n_alpha, n_time = grid.cell.shape
+    for nodes in (TILE * n_time, 3 * TILE * n_time, n_alpha * n_time):
+        with monkeypatch.context() as m:
+            m.setattr(closedform, "BLOCK", nodes)
+            cell, tiles = _grid_index(grid.positions)
+        assert cell.tobytes() == grid.cell.tobytes()
+        assert tiles.tobytes() == grid.tiles.tobytes()
+    return grid.cell, grid.tiles
 
 
 @pytest.mark.parametrize("family, q0, config", INDEX_CASES)
-def test_local_cell_matches_roll_form(historical, vortex, family, q0, config):
+def test_local_cell_matches_roll_form(historical, vortex, monkeypatch, family, q0, config):
     for grid in _index_grids(historical, vortex, family, q0, config):
-        np.testing.assert_array_equal(grid.cell, _roll_local_cell(grid.positions))
+        cell, _ = _index_in_any_block(grid, monkeypatch)
+        np.testing.assert_array_equal(cell, _roll_local_cell(grid.positions))
 
 
 @pytest.mark.parametrize("family, q0, config", INDEX_CASES)
-def test_tiles_match_their_sliced_boxes(historical, vortex, family, q0, config):
+def test_tiles_match_their_sliced_boxes(historical, vortex, monkeypatch, family, q0, config):
     for grid in _index_grids(historical, vortex, family, q0, config):
-        np.testing.assert_array_equal(grid.tiles, _sliced_tiles(grid.positions, grid.cell))
+        cell, tiles = _index_in_any_block(grid, monkeypatch)
+        np.testing.assert_array_equal(tiles, _sliced_tiles(grid.positions, cell))
 
 
 def _traced_peak(build):
@@ -1044,6 +1069,65 @@ def test_cut_locus_fronts_are_not_classified(historical, monkeypatch):
     )
     assert calls == []
     assert len(estimate.arcs) == 2
+
+
+def _per_time_crossings(problem, q0, alphas, front_times):
+    """Crossings, as the estimate reports them, of fronts integrated one time at a time.
+
+    Also returns the lanes each front loses to a domain exit; such a front is skipped.
+    """
+    par = np.concatenate((alphas, alphas[:1] + 2.0 * math.pi))
+    crossings, lost = [], []
+    for t_k in front_times:
+        front = endpoints(problem, q0, alphas, (float(t_k),))[:, 0]
+        lost.append(int(np.count_nonzero(~np.isfinite(front[:, 0]))))
+        if lost[-1] == 0:
+            pts = np.vstack((front, front[:1]))
+            crossings += [
+                (float(t_k), float(wrap_angle(a)), float(wrap_angle(b)), pos)
+                for a, b, pos in polyline_self_intersections(pts, par)
+            ]
+    return crossings, lost
+
+
+@pytest.mark.parametrize(
+    "family, q0, t_max, n_alpha",
+    [("historical", Q0_STRONG, 2.5, 96), ("vortex", (0.7, 0.0), None, 32)],
+)
+def test_cut_locus_fronts_are_one_shared_row(
+    historical, vortex, monkeypatch, family, q0, t_max, n_alpha
+):
+    # the five fronts are sampled by one endpoint call on a shared row of
+    # times, and give the crossings that fronts of one time each give
+    problem = {"historical": historical, "vortex": vortex}[family]
+    rows = []
+    real = reachability.endpoints
+
+    def spy(*args):  # (problem, q0, headings, ts[, control])
+        rows.append(np.array(args[3], dtype=float))
+        return real(*args)
+
+    monkeypatch.setattr(reachability, "endpoints", spy)
+    # the crossings do not depend on the shooting config: a small one will do
+    estimate = cut_locus_estimate(
+        problem, q0, t_max, n_alpha=n_alpha, config=ShootingConfig(n_alpha=64, n_time=64)
+    )
+    shared = [ts for ts in rows if ts.shape == (reachability.N_FRONT_TIMES,)]
+    assert len(shared) == 1
+    front_times = shared[0]
+    assert not any(ts.size == 1 and ts.item() in front_times for ts in rows)
+    got = [(p.t, p.heading_a, p.heading_b, p.position) for p in estimate.separating_points]
+    alphas = reachability._heading_circle(n_alpha)
+    expected, lost = _per_time_crossings(problem, q0, alphas, front_times)
+    assert len(got) == len(expected) >= 2
+    if family == "historical":  # the closed form: the same bits
+        assert lost == [0] * 5
+        assert repr(got) == repr(expected)
+    else:  # the continuous extension: within its error; the later fronts are skipped
+        assert lost == [0, 0, 5, 9, 11]
+        for (t, *rest), (t_e, *rest_e) in zip(got, expected):
+            assert t == t_e
+            np.testing.assert_allclose(np.hstack(rest), np.hstack(rest_e), rtol=0.0, atol=1e-8)
 
 
 def test_cut_locus_truncates_at_t_max(historical):
