@@ -50,7 +50,10 @@ power does not agree with the C library's ``pow`` in the last bit.  So
 every power goes through the C library's ``pow``: a Python float's ``**``
 in the scalar step, ``numpy.float_power`` in the lane step.  The scalar
 stepper must therefore be given Python floats, not numpy scalars, whose
-``**`` is numpy's.
+``**`` is numpy's.  Where numpy returns inf or nan, Python float
+arithmetic raises (``k / (r*r)`` at r = 0, ``sin(inf)``) or turns complex
+(a fractional power of a negative radius); the scalar step takes such a
+trial as the lane step does, with an infinite error, and halves its step.
 
 ``BACKEND`` names the kernels' implementation; the benchmark in
 ``perfbench/`` records it with each run.
@@ -140,51 +143,56 @@ def _attempt_step(code, k, a, b, r, th, al, h, tol, k1):
 
     Returns ``(r5, th5, al5, err, k7)``: ``k7`` is the RHS at the 5th-order
     state, the next step's ``k1`` if this one is accepted.  Where the trial
-    state is not finite, ``err`` is inf and ``k7`` is ``None``.
+    state is not finite, ``err`` is inf and ``k7`` is ``None``; so too where
+    a stage leaves the reals, and then the state is nan.
     """
     k1r, k1t, k1a = k1
+    try:
+        k2r, k2t, k2a = rhs(code, k, a, b, r + h * _A21 * k1r, al + h * _A21 * k1a)
+        k3r, k3t, k3a = rhs(
+            code, k, a, b, r + h * (_A31 * k1r + _A32 * k2r), al + h * (_A31 * k1a + _A32 * k2a)
+        )
+        k4r, k4t, k4a = rhs(
+            code, k, a, b,
+            r + h * (_A41 * k1r + _A42 * k2r + _A43 * k3r),
+            al + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
+        )
+        k5r, k5t, k5a = rhs(
+            code, k, a, b,
+            r + h * (_A51 * k1r + _A52 * k2r + _A53 * k3r + _A54 * k4r),
+            al + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+        )
+        k6r, k6t, k6a = rhs(
+            code, k, a, b,
+            r + h * (_A61 * k1r + _A62 * k2r + _A63 * k3r + _A64 * k4r + _A65 * k5r),
+            al + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+        )
 
-    k2r, k2t, k2a = rhs(code, k, a, b, r + h * _A21 * k1r, al + h * _A21 * k1a)
-    k3r, k3t, k3a = rhs(
-        code, k, a, b, r + h * (_A31 * k1r + _A32 * k2r), al + h * (_A31 * k1a + _A32 * k2a)
-    )
-    k4r, k4t, k4a = rhs(
-        code, k, a, b,
-        r + h * (_A41 * k1r + _A42 * k2r + _A43 * k3r),
-        al + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
-    )
-    k5r, k5t, k5a = rhs(
-        code, k, a, b,
-        r + h * (_A51 * k1r + _A52 * k2r + _A53 * k3r + _A54 * k4r),
-        al + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-    )
-    k6r, k6t, k6a = rhs(
-        code, k, a, b,
-        r + h * (_A61 * k1r + _A62 * k2r + _A63 * k3r + _A64 * k4r + _A65 * k5r),
-        al + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-    )
+        r5 = r + h * (_B1 * k1r + _B3 * k3r + _B4 * k4r + _B5 * k5r + _B6 * k6r)
+        th5 = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t + _B6 * k6t)
+        al5 = al + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
 
-    r5 = r + h * (_B1 * k1r + _B3 * k3r + _B4 * k4r + _B5 * k5r + _B6 * k6r)
-    th5 = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t + _B6 * k6t)
-    al5 = al + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
+        if not (math.isfinite(r5) and math.isfinite(th5) and math.isfinite(al5)):
+            return r5, th5, al5, math.inf, None
 
-    if not (math.isfinite(r5) and math.isfinite(th5) and math.isfinite(al5)):
-        return r5, th5, al5, math.inf, None
+        k7 = rhs(code, k, a, b, r5, al5)
+        k7r, k7t, k7a = k7
 
-    k7 = rhs(code, k, a, b, r5, al5)
-    k7r, k7t, k7a = k7
+        er = h * (_E1 * k1r + _E3 * k3r + _E4 * k4r + _E5 * k5r + _E6 * k6r + _E7 * k7r)
+        et = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
+        ea = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
 
-    er = h * (_E1 * k1r + _E3 * k3r + _E4 * k4r + _E5 * k5r + _E6 * k6r + _E7 * k7r)
-    et = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
-    ea = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
-
-    sr = tol + tol * max(abs(r), abs(r5))
-    st = tol + tol * max(abs(th), abs(th5))
-    sa = tol + tol * max(abs(al), abs(al5))
-    err = math.sqrt(((er / sr) ** 2 + (et / st) ** 2 + (ea / sa) ** 2) / 3.0)
-    if not math.isfinite(err):
-        err = math.inf
-    return r5, th5, al5, err, k7
+        sr = tol + tol * max(abs(r), abs(r5))
+        st = tol + tol * max(abs(th), abs(th5))
+        sa = tol + tol * max(abs(al), abs(al5))
+        err = math.sqrt(((er / sr) ** 2 + (et / st) ** 2 + (ea / sa) ** 2) / 3.0)
+        if not math.isfinite(err):
+            err = math.inf
+        return r5, th5, al5, err, k7
+    except (ZeroDivisionError, OverflowError, TypeError, ValueError):
+        # a stage left the reals: a division by zero, a power that overflows,
+        # a complex power of a negative radius, the sine of an infinity
+        return math.nan, math.nan, math.nan, math.inf, None
 
 
 def _new_h(h_try, err):

@@ -30,7 +30,9 @@ def polyline_self_intersections(
     parameters linearly interpolated within the intersecting segments.  A
     pair no more than three of the largest parameter steps apart
     (``u2 - u1 <= 3 * max(diff(params))``) is dropped, so that mere sample
-    adjacency never counts as a crossing.
+    adjacency never counts as a crossing.  A segment with a nan end (a
+    lane that left the domain) crosses nothing, since every comparison with
+    nan is false; the rest of the polyline keeps its crossings.
     """
     pts = np.asarray(points, dtype=float)
     par = np.asarray(params, dtype=float)

@@ -41,13 +41,14 @@ rows of ``TILE`` headings, about ``closedform.BLOCK`` nodes each: a block
 gives its nodes' local cells, and each ``TILE`` x ``TILE`` tile in it keeps
 the box of its endpoints and its largest capture radius, so the work arrays
 stay one block in size, and a target's candidates come from the few tiles
-whose widened box holds it rather than a scan of every node.  Tiles are
-local in index space, so lanes whose chart angle winds far from the rest of
-a polar grid widen only their own tiles.  Every sphere, scan and cut-locus
-estimate builds one grid and polishes every candidate of every target in
-one Newton batch; a cut-locus estimate first collects the crossings of all
-its (untagged) fronts, which one ``endpoints`` call samples on a shared
-ascending row of times, as it samples a grid.  The grid samples the
+whose widened box holds it rather than a scan of every node: one pass
+reads each such tile with a rim of one node and takes the distances once.
+Tiles are local in index space, so lanes whose chart angle winds far from
+the rest of a polar grid widen only their own tiles.  Every sphere, scan
+and cut-locus estimate builds one grid and polishes every candidate of
+every target in one Newton batch; a cut-locus estimate first collects the
+crossings of all its (untagged) fronts, which one ``endpoints`` call
+samples on a shared ascending row of times, as it samples a grid.  The grid samples the
 endpoint map at ``COARSE_CONTROL``: it only seeds the first stage, which
 iterates on that map.  Spheres and cut-locus estimates know a time by
 which each of their targets is reached, the front time:
@@ -331,23 +332,6 @@ def build_shooting_grid(
     return ShootingGrid(problem, q0, config, alphas, times, positions)
 
 
-def _tile_nodes(grid: ShootingGrid, tx: float, ty: float) -> np.ndarray:
-    """Flat ids of the nodes of every tile whose box, widened by its radius, holds the target.
-
-    The test forms ``lo - target`` and ``target - hi``, as the capture test
-    forms ``node - target``; rounding is monotone, so every node within its
-    capture radius of the target lies in a tile that is hit.  Nan boxes are
-    never hit.
-    """
-    x0, y0, x1, y1, radius = grid.tiles
-    hit = (np.maximum(x0 - tx, tx - x1) <= radius) & (np.maximum(y0 - ty, ty - y1) <= radius)
-    n_alpha, n_time = grid.cell.shape
-    step = np.arange(TILE)
-    rows, cols = (i[:, None] * TILE + step for i in np.nonzero(hit))
-    inside = (rows < n_alpha)[:, :, None] & (cols < n_time)[:, None, :]
-    return (rows[:, :, None] * n_time + cols[:, None, :])[inside]
-
-
 def _candidate_nodes(grid: ShootingGrid, target, reached_by: float = math.inf):
     """Grid nodes that plausibly bracket an arrival at the target.
 
@@ -356,37 +340,43 @@ def _candidate_nodes(grid: ShootingGrid, target, reached_by: float = math.inf):
     (which wrap) or time neighbours (which do not) is closer.  Rows
     ``(i_heading, i_time)`` come in row-major order, cut to the
     ``MAX_CANDIDATES`` nearest; there may be none.
+
+    One pass over the tiles whose box, widened by its radius, holds the
+    target finds them: each such tile is read with a rim of one node, whose
+    headings wrap and whose times clamp (a node at the first or last time
+    meets itself), the missing nodes of a ragged last tile masked first.
+    The box test forms ``lo - target`` and ``target - hi``, as the capture
+    test forms ``node - target``; rounding is monotone, so every node within
+    its capture radius of the target lies in a tile that is hit.  Nan boxes
+    are never hit, and a nan neighbour is never closer.
     """
     tx, ty = float(target[0]), float(target[1])
     n_alpha, n_time = grid.cell.shape
-    n_node = n_alpha * n_time
+    x0, y0, x1, y1, radius = grid.tiles
+    hit = (np.maximum(x0 - tx, tx - x1) <= radius) & (np.maximum(y0 - ty, ty - y1) <= radius)
+    rows, cols = (i[:, None] * TILE + np.arange(-1, TILE + 1) for i in np.nonzero(hit))
+    keep = (rows[:, 1:-1, None] < n_alpha) & (cols[:, None, 1:-1] < n_time)
+    rows %= n_alpha
+    np.clip(cols, 0, n_time - 1, out=cols)
+    window = (rows * n_time)[:, :, None] + cols[:, None, :]  # (tile, TILE + 2, TILE + 2) node ids
     flat = grid.positions.reshape(-1, 2)
-    xs, ys = flat[:, 0], flat[:, 1]  # strided views: a 1-d gather from each beats a row gather
-
-    def distance(nodes):
-        d = np.hypot(xs[nodes] - tx, ys[nodes] - ty)
-        return np.where(np.isfinite(d), d, np.inf)
-
-    nodes = _tile_nodes(grid, tx, ty)
-    d = distance(nodes)
-    keep = d <= CAPTURE_FACTOR * np.fmax(grid.cell.reshape(-1)[nodes], 1e-12)
+    # strided views: a 1-d gather from each beats a row gather or a take
+    d = np.hypot(flat[:, 0][window] - tx, flat[:, 1][window] - ty)
+    # the tiles' own nodes and their distances; contiguous ids gather faster
+    nodes, c = window[:, 1:-1, 1:-1].copy(), d[:, 1:-1, 1:-1]
+    keep &= c <= CAPTURE_FACTOR * np.fmax(grid.cell.reshape(-1)[nodes], 1e-12)
     if reached_by < math.inf:  # value scans know no bound: every time is kept
-        keep &= grid.times[nodes % n_time] <= _arrival_bound(grid.times, reached_by)
-    nodes, d = nodes[keep], d[keep]
-    # each test keeps the nodes no farther than one neighbour; the heading
-    # neighbours reject most, so the time neighbours see only the survivors
-    for neighbour in (
-        lambda v: (v + n_time) % n_node,
-        lambda v: (v - n_time) % n_node,
-        lambda v: v - (v % n_time > 0),  # a node at the first or last time meets itself
-        lambda v: v + (v % n_time < n_time - 1),
-    ):
-        keep = d <= distance(neighbour(nodes))
-        nodes, d = nodes[keep], d[keep]
+        keep &= grid.times[cols[:, None, 1:-1]] <= _arrival_bound(grid.times, reached_by)
+    # the nearest of the four neighbours: fmin passes over a nan one
+    near = np.fmin(
+        np.fmin(d[:, :-2, 1:-1], d[:, 2:, 1:-1]), np.fmin(d[:, 1:-1, :-2], d[:, 1:-1, 2:])
+    )
+    keep &= ~(c > near)
+    nodes, c = nodes[keep], c[keep]
     order = np.argsort(nodes)
-    nodes, d = nodes[order], d[order]
+    nodes, c = nodes[order], c[order]
     if nodes.shape[0] > MAX_CANDIDATES:
-        nodes = nodes[np.argsort(d)[:MAX_CANDIDATES]]
+        nodes = nodes[np.argsort(c)[:MAX_CANDIDATES]]
     return np.stack(np.divmod(nodes, n_time), axis=-1)
 
 
@@ -772,9 +762,10 @@ def cut_locus_estimate(
     intermediate wavefronts are collected as separating-line candidates and
     confirmed when the value function matches the front time at the
     crossing.  The fronts are one ``endpoints`` call on a shared ascending
-    row of their times; a front that lost a lane to a domain exit is
-    skipped.  ``t_max`` defaults to 1.5x the forward cusp time (the adapted
-    neighborhood this estimate is valid in).
+    row of their times; a lane that left the domain is a nan vertex of its
+    front, and only the two segments that touch it are lost.  ``t_max``
+    defaults to 1.5x the forward cusp time (the adapted neighborhood this
+    estimate is valid in).
     """
     if t_max is not None and not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
@@ -802,8 +793,6 @@ def cut_locus_estimate(
     fronts = endpoints(problem, q0, alphas, front_times)  # one shared row of times
     crossings = []  # (t_k, heading a, heading b, position) over every front
     for t_k, front in zip(front_times, fronts.transpose(1, 0, 2)):
-        if not np.all(np.isfinite(front[:, 0])):  # a lane left the domain
-            continue
         pts = np.vstack((front, front[:1]))
         crossings += [(float(t_k), *hit) for hit in polyline_self_intersections(pts, par)]
     reached_at = [t_k for t_k, *_ in crossings]

@@ -18,8 +18,9 @@ compare byte for byte with one run each and ``diff -r``::
 
 The commands are the seven README historical commands plus vortex and
 powerlaw commands that reach the numeric integrator, the numeric cusp
-search, shooting, value scans and the cut-locus estimate, and four that
-must fail with a config error before they write anything.  New commands go
+search, shooting, value scans and the cut-locus estimate, four that must
+fail with a config error before they write anything, and two that start
+next to a polar core.  New commands go
 at the end, so the numbered directories of the old ones keep their names.
 """
 
@@ -31,6 +32,7 @@ from pathlib import Path
 
 POWERLAW_13 = '{"family": "powerlaw", "k": 1.0, "a": -3.0, "b": 1.0}'
 POWERLAW_22 = '{"family": "powerlaw", "k": 2.0, "a": -2.0, "b": 1.0}'
+POWERLAW_HALF = '{"family": "powerlaw", "k": 1.0, "a": -2.0, "b": 0.5}'
 TIMEOUT_S = 60
 
 COMMANDS = [  # (directory name, problem, command and its arguments)
@@ -66,8 +68,12 @@ COMMANDS = [  # (directory name, problem, command and its arguments)
     # a front of fewer lanes than the lane kernel's TAIL_LANES: all in the scalar stepper
     ("vortex-wavefront-12", "vortex", "wavefront --q0 0.5,0 --t 0.3 --n 12"),
     # a cut-locus estimate that confirms separating points while its later
-    # fronts lose lanes to the vortex core and are skipped
+    # fronts lose lanes to the vortex core
     ("vortex-synthesis-07", "vortex", "synthesis --q0 0.7,0 --n 32"),
+    # starts next to the core, where a scalar trial step leaves the reals: a
+    # division by r = 0, and a square root of a negative radius
+    ("vortex-wavefront-core", "vortex", "wavefront --q0 2e-4,0 --t 0.01 --n 8"),
+    ("powerlaw-half-integrate-core", POWERLAW_HALF, "integrate --state 5e-4,0,3.14159 --t 0.01"),
 ]
 
 

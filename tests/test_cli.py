@@ -56,6 +56,31 @@ def test_cusp_json(capsys):
     assert math.isclose(payload["position"][1], 1.0)
 
 
+def test_cusp_out_writes_json_trajectory_and_figure(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["cusp", "--problem", "historical", "--state", "0,2,-2.0944", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "cusp.json").read_bytes() == out.encode()
+    lines = (tmp_path / "cusp_trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,c1,c2,alpha,res_H,res_eq10,res_C0"
+    assert len(lines) == 1 + 512  # the closed form's samples over twice the cusp time
+    assert (tmp_path / "cusp.svg").read_text().startswith("<svg")
+
+
+def test_vortex_cusp_is_found_numerically_on_the_boundary(capsys):
+    # the k = 1 vortex's strong/weak boundary is r = 1, where the cusp lies
+    code, out, _ = run_cli(
+        ["cusp", "--problem", "vortex", "--state", "0.5,0,-0.5235987755982991", "--t-max", "3"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["source"] == "numeric"
+    assert abs(payload["position"][0] - 1.0) <= 1e-6
+
+
 def test_cusp_not_abnormal_is_config_error(capsys):
     code, _, err = run_cli(["cusp", "--problem", "historical", "--state", "0,0.5,1"], capsys)
     assert code == 2
@@ -207,14 +232,36 @@ def test_synthesis_weak_start_rejected(capsys):
         # a weak-current state, which an infinite tolerance would tag abnormal
         ("historical", ["classify", "--state", "0,0.5,1", "--tol", "inf"], "tolerance"),
         ("historical", ["cusp", "--state", "0,0.5,1", "--tol", "inf"], "tolerance"),
+        # integration tolerances, which must be positive too
+        ("vortex", ["integrate", "--state", "0.5,0,1.1", "--t", "0.5", "--tol", "nan"], "--tol"),
+        ("vortex", ["integrate", "--state", "0.5,0,1.1", "--t", "0.5", "--tol", "0"], "--tol"),
+        ("vortex", ["wavefront", "--q0", "0.5,0", "--t", "0.3", "--n", "8", "--tol", "nan"],
+         "--tol"),
+        ("vortex", ["wavefront", "--q0", "0.5,0", "--t", "0.3", "--n", "8", "--tol", "0"],
+         "--tol"),
+        ("vortex", ["synthesis", "--q0", "0.5,0", "--tol", "nan"], "--tol"),
+        ("vortex", ["synthesis", "--q0", "0.5,0", "--tol", "0"], "--tol"),
     ],
     ids=["value-tol-nan", "wavefront-t-inf", "integrate-t-inf", "vortex-synthesis-t-max-inf",
-         "historical-synthesis-t-max-inf", "classify-tol-inf", "cusp-tol-inf"],
+         "historical-synthesis-t-max-inf", "classify-tol-inf", "cusp-tol-inf",
+         "integrate-tol-nan", "integrate-tol-0", "wavefront-tol-nan", "wavefront-tol-0",
+         "synthesis-tol-nan", "synthesis-tol-0"],
 )
 def test_non_finite_values_are_config_errors(tmp_path, capsys, problem, args, name):
     code, _, err = run_cli([*args, "--problem", problem, "--out", str(tmp_path)], capsys)
     assert code == 2
     assert name in err and "finite" in err
+
+
+@pytest.mark.parametrize("tol, rows", [(None, 44), ("1e-6", 11)])
+def test_tol_reaches_the_vortex_integrator(tmp_path, capsys, tol, rows):
+    # the trajectory stores every accepted step: a looser tolerance takes fewer
+    args = ["integrate", "--problem", "vortex", "--state", "0.5,0,1.1", "--t", "0.5"]
+    code, _, _ = run_cli(
+        [*args, *(() if tol is None else ("--tol", tol)), "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + rows
 
 
 def test_vortex_descriptor_roundtrip(tmp_path, capsys):

@@ -151,6 +151,24 @@ def test_param_gap_filter():
     assert polyline_self_intersections(tail, np.append(par, 8.0)) == []
 
 
+@pytest.mark.filterwarnings("error")
+def test_nan_vertex_drops_only_its_own_segments():
+    # a nan vertex (a front lane that left the domain) ends the two segments
+    # that touch it, and only those: with a finite vertex there both segments
+    # cross the polyline, and the bow tie's crossing far from it stays
+    tail = [[1.0, 4.0], [1.0, 6.0], [2.0, 7.0], [3.0, 6.0], [3.0, 5.0], [3.0, 4.0], [0.0, 5.0]]
+    pts = np.vstack((BOW_TIE, tail, [[0.5, 2.0], [0.5, 1.0]]))
+    par = np.arange(16.0)
+    finite = polyline_self_intersections(pts, par)
+    pts[13] = np.nan
+    hits = polyline_self_intersections(pts, par)
+    touching = [hit for hit in finite if any(12.0 <= u <= 14.0 for u in hit[:2])]
+    assert len(touching) == 2  # one crossing on each segment of vertex 13
+    assert hits == [hit for hit in finite if hit not in touching]
+    assert hits[0] == (0.5, 5.5, (1.0, 1.0))  # the bow tie
+    assert len(hits) == 2  # segment 14, which starts past the nan vertex, still crosses
+
+
 def _all_pairs_reference(points, params):
     """Self-intersections screened over all n(n-1)/2 segment pairs in row-major order."""
     pts = np.asarray(points, dtype=float)

@@ -275,6 +275,61 @@ def test_lane_step_equals_scalar_step_bit_for_bit(problem, r_range, log_h_max):
             assert scalar[4:] == (None,)
 
 
+# trial steps whose float arithmetic leaves the reals, where numpy gives inf
+# or nan: (problem, r, theta, alpha, h, tol)
+_UNREAL_TRIALS = {
+    # a stage at r < 0, where a fractional power turns complex
+    "powerlaw-negative-radius": (make_powerlaw(1.0, -2.0, 0.5), 5e-4, 0.0, math.pi, 1e-3, TOL),
+    # the second stage lands on r = 0 exactly, and k / (r*r) divides by zero
+    "vortex-zero-radius": (make_vortex(1.0), 1e-3 * _kernels._A21, 0.0, math.pi, 1e-3, TOL),
+    # r^3 is subnormal, so alpha' is -inf and the second stage takes sin(-inf)
+    "vortex-sine-of-infinity": (make_vortex(1.0), 1e-105, 0.0, 1.0, 1e-3, TOL),
+    # theta overflows without raising: the trial state is not finite
+    "historical-state-overflow": (make_historical(), 1e308, 1.7e308, 1.0, 0.25, TOL),
+    # the error over the smallest subnormal tolerance overflows without raising
+    "historical-error-overflow": (make_historical(), 2.0, 0.0, 1.0, 0.1, 5e-324),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREAL_TRIALS))
+def test_scalar_and_lane_steps_reject_a_trial_that_leaves_the_reals(case):
+    problem, r, th, al, h, tol = _UNREAL_TRIALS[case]
+    head = _head(problem)
+    scalar = _kernels._attempt_step(*head, r, th, al, h, tol, _kernels.rhs(*head, r, al))
+    y = np.array([[r], [th], [al]])
+    k1 = np.empty_like(y)
+    with np.errstate(all="ignore"):  # as in the lane kernel's loop
+        _kernels._lane_rhs(*head, y, k1)
+        y5, err, stages = _kernels._attempt_lanes(*head, y, np.array([h]), tol, k1)
+    assert scalar[3] == err[0] == math.inf
+    assert np.array_equal(scalar[:3], y5[:, 0], equal_nan=True)
+    if np.isfinite(scalar[:3]).all():  # only the error overflowed: the state's RHS comes along
+        assert scalar[4] == tuple(stages[-1, :, 0])
+    else:
+        assert scalar[4] is None
+    assert _kernels._new_h(h, scalar[3]) == 0.5 * h
+
+
+@pytest.mark.parametrize(
+    "problem, r0",
+    [(make_powerlaw(1.0, -2.0, 0.5), 5e-4), (make_vortex(1.0), 2e-4)],
+    ids=["powerlaw-b-half", "vortex"],
+)
+def test_a_lane_into_the_core_does_not_depend_on_its_batch(monkeypatch, problem, r0):
+    # heading pi dives into the core: alone, the lane runs in the scalar
+    # stepper, whose trial steps meet a negative radius or r = 0 and must
+    # halve as the numpy step's do, not raise
+    trials = _spy(monkeypatch, "_attempt_step")
+    alone, alone_status = _all_at_once(problem, r0, 0.0, [math.pi], np.array([[0.01]]))
+    assert any(math.isnan(result[0]) for _, result in trials)  # a stage left the reals
+    n = 20
+    out, status = _all_at_once(problem, r0, 0.0, np.full(n, math.pi), np.full((n, 1), 0.01))
+    assert alone_status.tolist() == [_kernels.STATUS_DOMAIN_EXIT]
+    assert status.tolist() == [_kernels.STATUS_DOMAIN_EXIT] * n
+    assert np.isnan(alone).all()
+    assert np.array_equal(out, np.repeat(alone, n, axis=0), equal_nan=True)
+
+
 @pytest.mark.parametrize("sampler", ["trajectory", "at-times", "dense-row"])
 def test_rhs_once_at_start_and_at_most_six_per_trial_step(monkeypatch, sampler):
     # the step is first same as last: an accepted step hands its last stage

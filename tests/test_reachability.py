@@ -37,7 +37,6 @@ from zermelo.reachability import (
     _candidate_nodes,
     _grid_index,
     _newton_polish,
-    _tile_nodes,
     _value_samples,
 )
 
@@ -428,14 +427,31 @@ def test_local_cell_works_in_plane_sized_arrays(historical):
     np.testing.assert_array_equal(positions, grid.positions)
 
 
-def test_tile_lookup_stays_local_on_the_default_vortex_grid(vortex):
+def test_tile_lookup_stays_local_on_the_default_vortex_grid(vortex, monkeypatch):
     # lanes diving toward the vortex wind the chart angle far from the rest of
-    # the grid; that inflates only their own tiles, not every lookup
+    # the grid; that inflates only their own tiles, not every lookup.  The
+    # lookup takes its distances once, over the hit tiles with their rims, so
+    # that one window counts the tiles it reads
     q0 = (0.5, 0.0)
     grid = build_shooting_grid(vortex, q0, ShootingConfig(t_max=0.5))
     front = wavefront(vortex, q0, 0.15, 32, include_headings=abnormal_headings(vortex, q0[0]))
+    windows = []
+
+    class Numpy:  # the module's numpy, with its distance windows recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def hypot(self, *args):
+            windows.append(np.hypot(*args))
+            return windows[-1]
+
+    monkeypatch.setattr(reachability, "np", Numpy())
     for target in front.positions[front.ok]:
-        assert _tile_nodes(grid, *target).shape[0] < 0.05 * grid.cell.size
+        windows.clear()
+        _candidate_nodes(grid, target)
+        (window,) = windows
+        assert window.shape[1:] == (TILE + 2, TILE + 2)
+        assert window.shape[0] * TILE * TILE < 0.05 * grid.cell.size
 
 
 def _vortex_case(vortex):
@@ -1074,19 +1090,18 @@ def test_cut_locus_fronts_are_not_classified(historical, monkeypatch):
 def _per_time_crossings(problem, q0, alphas, front_times):
     """Crossings, as the estimate reports them, of fronts integrated one time at a time.
 
-    Also returns the lanes each front loses to a domain exit; such a front is skipped.
+    Also returns the lanes each front loses to a domain exit.
     """
     par = np.concatenate((alphas, alphas[:1] + 2.0 * math.pi))
     crossings, lost = [], []
     for t_k in front_times:
         front = endpoints(problem, q0, alphas, (float(t_k),))[:, 0]
         lost.append(int(np.count_nonzero(~np.isfinite(front[:, 0]))))
-        if lost[-1] == 0:
-            pts = np.vstack((front, front[:1]))
-            crossings += [
-                (float(t_k), float(wrap_angle(a)), float(wrap_angle(b)), pos)
-                for a, b, pos in polyline_self_intersections(pts, par)
-            ]
+        pts = np.vstack((front, front[:1]))
+        crossings += [
+            (float(t_k), float(wrap_angle(a)), float(wrap_angle(b)), pos)
+            for a, b, pos in polyline_self_intersections(pts, par)
+        ]
     return crossings, lost
 
 
@@ -1123,7 +1138,7 @@ def test_cut_locus_fronts_are_one_shared_row(
     if family == "historical":  # the closed form: the same bits
         assert lost == [0] * 5
         assert repr(got) == repr(expected)
-    else:  # the continuous extension: within its error; the later fronts are skipped
+    else:  # the continuous extension: within its error; the later fronts lose lanes
         assert lost == [0, 0, 5, 9, 11]
         for (t, *rest), (t_e, *rest_e) in zip(got, expected):
             assert t == t_e
